@@ -1,11 +1,13 @@
 """Polynomial-time routes: set-cover greedy, constructions, XP enumeration.
 
-The greedy route reduces red-blue separation to set cover (elements are
-red-blue pairs, one candidate set per vertex) and runs max-coverage greedy,
-a (ln|U| + 1)-factor method; |U| <= n^2/4 makes that at most 2 ln n here.
-The same template with all vertex pairs as the universe approximates the
-uncolored separation number, and via sep(G) <= ceil(log2 n) * maxsep_RB(G)
-also maxsep within O(ln^2 n).
+The greedy route treats red-blue separation as set cover (elements are the
+red-blue pairs, each vertex covers the ``split_pairs`` it separates) and
+runs the kernel's max-coverage greedy, a (ln|U| + 1)-factor method;
+|U| <= n^2/4 makes that at most 2 ln n here. The same template with all
+vertex pairs as the universe approximates the uncolored separation number,
+and via sep(G) <= ceil(log2 n) * maxsep_RB(G) also maxsep within O(ln^2 n).
+``reduce_rb_to_set_cover`` writes the instance out as a ``SetSystem`` for
+``rbsep reduce``.
 
 The constructions give cardinality guarantees (3 or Delta times the smaller
 color class) on triangle-free and bounded-degree graphs; those bounds in
@@ -28,11 +30,12 @@ from .errors import (
     Uncoverable,
     Unseparable,
 )
-from .exact import SolveReport, rb_difference_masks
+from .exact import SolveReport, rb_difference_masks, split_pairs
 from .graphs import (
     Coloring,
     Graph,
     bits_of,
+    certify,
     graph_profile,
     is_triangle_free,
     mask_of,
@@ -40,6 +43,7 @@ from .graphs import (
     verify_rb_separating,
     verify_separating,
 )
+from .hitting import greedy_hitting_set
 
 __all__ = [
     "SetSystem",
@@ -157,78 +161,62 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     return SetSystem(len(pairs), tuple(pairs), tuple(sets))
 
 
+def _greedy_cover(cols: list[int], universe: int) -> ApproxReport:
+    # Greedy cover of ``universe`` by ``cols``, solution as column indices.
+    # Guarantee ln|U| + 1; the optimum lower bound is the better of
+    # |U| / (largest column) and greedy size / guarantee.
+    chosen = greedy_hitting_set(cols, universe)
+    size = universe.bit_count()
+    guarantee = math.log(size) + 1 if size else 1.0
+    lb = 0
+    if size:
+        max_set = max((col & universe).bit_count() for col in cols)
+        lb = max(math.ceil(size / max_set), math.ceil(len(chosen) / guarantee))
+    return ApproxReport(tuple(sorted(chosen)), guarantee, lb)
+
+
 def greedy_set_cover(sys: SetSystem) -> ApproxReport:
     """Max-coverage greedy cover; ties break to the lowest set index.
 
     The recorded guarantee is ln|U| + 1. The optimum lower bound is the
-    better of |U| / (largest set size) and greedy size / guarantee.
+    better of |U| / (largest set size) and greedy size / guarantee. Raises
+    Uncoverable on the smallest element that no set contains.
     """
+    cols = [mask_of(elems) for _, elems in sys.sets]
     universe = (1 << sys.universe_size) - 1
-    masks = []
-    for _, elems in sys.sets:
-        m = 0
-        for e in elems:
-            m |= 1 << e
-        masks.append(m)
-    reachable = 0
-    for m in masks:
-        reachable |= m
-    if reachable != universe:
-        missing = (universe & ~reachable).bit_length() - 1
-        # report the smallest uncoverable element
-        for e in range(sys.universe_size):
-            if not reachable >> e & 1:
-                missing = e
-                break
-        raise Uncoverable(sys.element_labels[missing])
-
-    chosen: list[int] = []
-    covered = 0
-    while covered != universe:
-        best_i = -1
-        best_gain = 0
-        for i, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        chosen.append(best_i)
-        covered |= masks[best_i]
-
-    guarantee = math.log(sys.universe_size) + 1 if sys.universe_size else 1.0
-    max_set = max((m.bit_count() for m in masks), default=0)
-    lb = 0
-    if sys.universe_size:
-        lb = max(
-            math.ceil(sys.universe_size / max_set),
-            math.ceil(len(chosen) / guarantee),
-        )
-    solution = tuple(sorted(sys.sets[i][0] for i in chosen))
-    return ApproxReport(solution=solution, guarantee=guarantee, optimum_lower_bound=lb)
+    missing = universe & ~mask_of(e for _, elems in sys.sets for e in elems)
+    if missing:
+        raise Uncoverable(sys.element_labels[(missing & -missing).bit_length() - 1])
+    cover = _greedy_cover(cols, universe)
+    solution = tuple(sorted(sys.sets[i][0] for i in cover.solution))
+    return ApproxReport(solution, cover.guarantee, cover.optimum_lower_bound)
 
 
 def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
-    """Greedy red-blue separating set with factor at most max(1, 2 ln n)."""
-    sys = reduce_rb_to_set_cover(g, c)
-    cover = greedy_set_cover(sys)
-    assert verify_rb_separating(g, c, cover.solution) is None
+    """Greedy red-blue separating set with factor at most max(1, 2 ln n).
+
+    Raises Unseparable on the first red-blue twin pair in the element order
+    of ``reduce_rb_to_set_cover`` (red ascending, then blue ascending).
+    """
+    closed = g.closed
+    blues = c.blue_vertices()
+    for r in c.red_vertices():
+        for b in blues:
+            if closed[r] == closed[b]:
+                raise Unseparable(tuple(sorted((r, b))))
+    cols = [split_pairs(nv, g.n) for nv in closed]
+    cover = _greedy_cover(cols, split_pairs(c.red_mask, g.n))
+    certify(verify_rb_separating(g, c, cover.solution))
     guarantee = max(1.0, 2 * math.log(g.n)) if g.n >= 2 else 1.0
     return ApproxReport(cover.solution, guarantee, cover.optimum_lower_bound)
 
 
 def all_pairs_set_system(g: Graph) -> SetSystem:
     """Separation of all vertex pairs as set cover (universe = pairs)."""
-    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    closed = g.closed
-    sets = []
-    for w in range(g.n):
-        bit = 1 << w
-        elems = tuple(
-            i for i, (u, v) in enumerate(pairs)
-            if bool(closed[u] & bit) != bool(closed[v] & bit)
-        )
-        sets.append((w, elems))
-    return SetSystem(len(pairs), tuple(pairs), tuple(sets))
+    n = g.n
+    pairs = tuple((u, v) for u in range(n) for v in range(u + 1, n))
+    sets = tuple((w, bits_of(split_pairs(nw, n))) for w, nw in enumerate(g.closed))
+    return SetSystem(len(pairs), pairs, sets)
 
 
 def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
@@ -241,12 +229,10 @@ def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
     report = twin_classes(g)
     if not report.is_twin_free:
         raise NotTwinFree(report)
-    sys = all_pairs_set_system(g)
-    try:
-        cover = greedy_set_cover(sys)
-    except Uncoverable as exc:  # pragma: no cover - twins already rejected
-        raise NotTwinFree(report) from exc
-    assert verify_separating(g, cover.solution) is None
+    n = g.n
+    cols = [split_pairs(nv, n) for nv in g.closed]
+    cover = _greedy_cover(cols, (1 << n * (n - 1) // 2) - 1)
+    certify(verify_separating(g, cover.solution))
     if g.n >= 2:
         guarantee = (2 * math.log(g.n) + 1) * max(1, (g.n - 1).bit_length())
     else:
@@ -293,7 +279,7 @@ def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
                 others = [x for x in g.neighbors(w) if x != v]
                 chosen.add(others[0])
     solution = tuple(sorted(chosen))
-    assert verify_rb_separating(g, c, solution) is None
+    certify(verify_rb_separating(g, c, solution))
     bound = 3 * len(small)
     return ApproxReport(solution, float(bound), 0 if not small else 1)
 
@@ -360,7 +346,7 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
             chosen.update(g.neighbors(v))
 
     solution = tuple(sorted(chosen))
-    assert verify_rb_separating(g, c, solution) is None
+    certify(verify_rb_separating(g, c, solution))
     bound = profile.max_degree * len(small)
     return ApproxReport(solution, float(bound), 0 if not small else 1)
 

@@ -37,22 +37,14 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-def _load_graph(path: str):
-    return io.read_graph(path)
-
-
-def _load_coloring(path: str, n: int):
-    return io.read_coloring(path, n)
-
-
 def _emit(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
 def cmd_solve(args) -> int:
     start = time.perf_counter()
-    g = _load_graph(args.graph)
-    c = _load_coloring(args.coloring, g.n)
+    g = io.read_graph(args.graph)
+    c = io.read_coloring(args.coloring, g.n)
     report = reports.RunReport(command=_echo(args))
     report.add_input("graph", args.graph)
     report.add_input("coloring", args.coloring)
@@ -100,7 +92,7 @@ def cmd_solve(args) -> int:
 
 def cmd_maxsep(args) -> int:
     start = time.perf_counter()
-    g = _load_graph(args.graph)
+    g = io.read_graph(args.graph)
     report = reports.RunReport(command=_echo(args))
     report.add_input("graph", args.graph)
     if args.mode == "exact":
@@ -129,7 +121,7 @@ def cmd_maxsep(args) -> int:
 
 def cmd_bounds(args) -> int:
     start = time.perf_counter()
-    g = _load_graph(args.graph)
+    g = io.read_graph(args.graph)
     res = bounds.check_bounds(g, sep_cap=args.sep_cap, maxsep_cap=args.cap)
     report = reports.RunReport(command=_echo(args))
     report.add_input("graph", args.graph)
@@ -174,8 +166,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    g = _load_graph(args.graph)
-    c = _load_coloring(args.coloring, g.n)
+    g = io.read_graph(args.graph)
+    c = io.read_coloring(args.coloring, g.n)
     system = approx.reduce_rb_to_set_cover(g, c)
     text = approx.set_system_to_text(system)
     if args.out:
@@ -194,13 +186,13 @@ def cmd_verify(args) -> int:
         for name, good in outcomes:
             _emit(f"recheck {name} {'ok' if good else 'FAIL'}")
         return EXIT_OK if ok else EXIT_ANSWER_NO
-    g = _load_graph(args.graph)
+    g = io.read_graph(args.graph)
     s = io.read_vertex_set(args.set)
     kind = args.kind
     if kind == "auto":
         kind = "rb" if args.coloring else "all-pairs"
     if kind == "rb":
-        c = _load_coloring(args.coloring, g.n)
+        c = io.read_coloring(args.coloring, g.n)
         violation = verify_rb_separating(g, c, s)
     elif kind == "all-pairs":
         violation = verify_separating(g, s)

@@ -12,6 +12,13 @@ class RBSepError(Exception):
     """Base class for all package-specific errors."""
 
 
+class CertificationError(AssertionError):
+    """An answer of the package failed its verifier: a defect, not an input error.
+
+    Unlike the asserts it replaced, it is also raised under ``python -O``.
+    """
+
+
 class Unseparable(RBSepError):
     """A red and a blue vertex have identical closed neighborhoods.
 

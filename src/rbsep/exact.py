@@ -7,8 +7,11 @@ Every problem is phrased as a hitting-set instance over difference masks:
 
 Minimization runs through the shared iterative-deepening branch and bound,
 which also answers the decision form ("is the optimum <= k?") without
-solving past the budget. Witnesses are re-checked against the verifiers
+solving past the budget. Witnesses are certified against the verifiers
 before being reported.
+
+``split_pairs`` defines the pair universe as a bitset, for the greedy's
+columns, the red-blue pairs and the sweep's Gray-code flips alike.
 
 All solvers are single-threaded and reentrant: they share no mutable state,
 so callers may run many instances in parallel. Inside the worst-coloring
@@ -28,6 +31,7 @@ from .graphs import (
     Coloring,
     Graph,
     bits_of,
+    certify,
     mask_of,
     twin_classes,
     verify_dominating,
@@ -45,6 +49,7 @@ __all__ = [
     "gamma_exact",
     "maxsep_exact",
     "bondy_remove",
+    "split_pairs",
 ]
 
 MAXSEP_DEFAULT_CAP = 14
@@ -96,6 +101,24 @@ def all_pairs_difference_masks(g: Graph) -> list[int]:
     return [closed[u] ^ closed[v] for u in range(g.n) for v in range(u + 1, g.n)]
 
 
+def split_pairs(x: int, n: int) -> int:
+    """Bitset of the pairs u < w < n with exactly one endpoint in ``x``.
+
+    Pair (u, w) is bit ``u*n - u*(u+1)/2 + w - u - 1``, the index of its
+    mask in ``all_pairs_difference_masks``. With ``x`` = N[v] these are the
+    pairs v separates; with the red mask, the red-blue pairs; with ``{w}``,
+    the pairs whose colors differ after w changes color.
+    """
+    out = 0
+    offset = 0
+    for u in range(n - 1):
+        row = n - 1 - u
+        other = ~x if x >> u & 1 else x
+        out |= (other >> (u + 1) & ((1 << row) - 1)) << offset
+        offset += row
+    return out
+
+
 def _solve_masks(
     masks: list[int], budget: int | None, method: str, start: float
 ) -> SolveReport:
@@ -124,7 +147,7 @@ def sep_rb_exact(g: Graph, c: Coloring, budget: int | None = None) -> SolveRepor
     start = time.perf_counter()
     masks = rb_difference_masks(g, c)
     report = _solve_masks(masks, budget, "branch-and-bound", start)
-    assert verify_rb_separating(g, c, report.witness) is None
+    certify(verify_rb_separating(g, c, report.witness))
     return report
 
 
@@ -140,7 +163,7 @@ def sep_exact(g: Graph, budget: int | None = None) -> SolveReport:
         raise NotTwinFree(report)
     masks = all_pairs_difference_masks(g)
     out = _solve_masks(masks, budget, "branch-and-bound", start)
-    assert verify_separating(g, out.witness) is None
+    certify(verify_separating(g, out.witness))
     return out
 
 
@@ -161,7 +184,7 @@ def gamma_exact(g: Graph) -> SolveReport:
     start = time.perf_counter()
     masks = list(g.closed)
     out = _solve_masks(masks, None, "branch-and-bound", start)
-    assert verify_dominating(g, out.witness) is None
+    certify(verify_dominating(g, out.witness))
     return out
 
 
@@ -192,10 +215,10 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     """Maximum of sep_RB(g, c) over all red-blue colorings c.
 
     Enumerates the 2^(n-1) colorings with vertex 0 fixed blue (color-swap
-    symmetry halves the space) in Gray-code order, maintaining the set of
-    active difference masks incrementally. Each coloring is first dispatched
-    with cheap upper bounds (distinct-mask count, then greedy); only
-    candidates that might exceed the incumbent pay for an exact decision.
+    symmetry halves the space) in Gray-code order, keeping the bitset of
+    red-blue pairs up to date with one XOR per flip. The greedy gives each
+    coloring a cheap upper bound; only colorings where it exceeds the
+    incumbent pay for an exact decision.
 
     Requires a twin-free graph of order at most ``n_cap``.
     """
@@ -208,52 +231,30 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     if n == 0:
         return MaxSepReport(0, Coloring(0, 0), 1)
 
-    closed = g.closed
-    mask_ids: dict[int, int] = {}
-    pair_ids = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = closed[u] ^ closed[v]
-            pair_ids.append((u, v, mask_ids.setdefault(d, len(mask_ids))))
-    id_masks = [0] * len(mask_ids)
-    for d, i in mask_ids.items():
-        id_masks[i] = d
-    touching = [[] for _ in range(n)]
-    for u, v, i in pair_ids:
-        touching[u].append((v, i))
-        touching[v].append((u, i))
+    diffs = all_pairs_difference_masks(g)
+    cols = [split_pairs(nv, n) for nv in g.closed]
+    flips = [split_pairs(1 << w, n) for w in range(n)]
 
-    def active_masks(red: int) -> list[int]:
-        return sorted({id_masks[i] for u, v, i in pair_ids if (red >> u ^ red >> v) & 1})
+    def active_masks(active: int) -> list[int]:
+        return sorted({diffs[i] for i in bits_of(active)})
 
     # Incumbent from the bipartite-parity coloring, usually near the maximum.
     best_red = _parity_preseed_mask(g)
     stats = [0]
-    found = minimum_hitting_set(active_masks(best_red), stats=stats)
+    found = minimum_hitting_set(active_masks(split_pairs(best_red, n)), stats=stats)
     assert found is not None
     best = found.bit_count()
 
-    count = [0] * len(id_masks)
-    distinct = 0
     red = 0
+    active = 0
     total = 1 << (n - 1)
     for step in range(1, total):
         w = (step & -step).bit_length()  # Gray code flips vertex tz(step)+1
         red ^= 1 << w
-        for x, i in touching[w]:
-            if (red >> w ^ red >> x) & 1:
-                count[i] += 1
-                if count[i] == 1:
-                    distinct += 1
-            else:
-                count[i] -= 1
-                if count[i] == 0:
-                    distinct -= 1
-        if distinct <= best:
+        active ^= flips[w]
+        if len(greedy_hitting_set(cols, active)) <= best:
             continue
-        masks = sorted(id_masks[i] for i, cnt in enumerate(count) if cnt)
-        if len(greedy_hitting_set(masks, n)) <= best:
-            continue
+        masks = active_masks(active)
         if hitting_set_within(masks, best, stats) is not None:
             continue
         k = best + 1

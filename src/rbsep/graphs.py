@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from .errors import CertificationError
+
 __all__ = [
     "Graph",
     "Coloring",
@@ -30,6 +32,7 @@ __all__ = [
     "verify_rb_separating",
     "verify_separating",
     "verify_dominating",
+    "certify",
     "graph_profile",
 ]
 
@@ -287,6 +290,12 @@ def verify_dominating(g: Graph, d: Iterable[int]) -> int | None:
         if not g.closed[v] & dmask:
             return v
     return None
+
+
+def certify(violation: object) -> None:
+    """Raise CertificationError unless a verifier (or size check) returned None."""
+    if violation is not None:
+        raise CertificationError(f"certification failed: {violation}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Bitmask hitting-set search kernel.
+"""Bitmask hitting-set kernel: exact search and the package's one greedy.
 
 Minimum red-blue separation, all-pairs separation, and domination all reduce
 to the same problem: given a list of nonempty vertex masks, find a smallest
@@ -9,6 +9,9 @@ The search is iterative deepening (k = 0, 1, 2, ...) around a depth-limited
 branch and bound: branch on the vertices of a smallest unhit mask, prune with
 a greedy packing of pairwise-disjoint masks. Ties break toward the lowest
 vertex index, so results are deterministic.
+
+``greedy_hitting_set`` works on the transposed instance: one column bitset
+per vertex, holding the elements (for separation, vertex pairs) it hits.
 """
 
 from __future__ import annotations
@@ -83,22 +86,24 @@ def minimum_hitting_set(
     return None
 
 
-def greedy_hitting_set(masks: list[int], n: int) -> list[int]:
-    """Max-coverage greedy: vertices chosen in order, ties to lowest index."""
-    remaining = [m for m in set(masks) if m]
+def greedy_hitting_set(cols: list[int], universe: int) -> list[int]:
+    """Max-coverage greedy over the bitset ``universe``; vertices in chosen order.
+
+    Each round takes the v whose column ``cols[v]`` hits the most elements
+    not hit yet, the lowest v on ties. Raises ValueError on an element that
+    no column hits.
+    """
     chosen: list[int] = []
-    while remaining:
-        freq = [0] * n
-        for m in remaining:
-            for v in bits_of(m):
-                freq[v] += 1
-        best_v = 0
-        best_f = -1
-        for v in range(n):
-            if freq[v] > best_f:
-                best_f = freq[v]
+    while universe:
+        best_v = -1
+        best_gain = 0
+        for v, col in enumerate(cols):
+            gain = (col & universe).bit_count()
+            if gain > best_gain:
+                best_gain = gain
                 best_v = v
-        bit = 1 << best_v
+        if best_v < 0:
+            raise ValueError("an element is in no column and cannot be hit")
         chosen.append(best_v)
-        remaining = [m for m in remaining if not m & bit]
+        universe &= ~cols[best_v]
     return chosen

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Any
 
 from .exact import MaxSepReport, SolveReport
-from .graphs import Coloring
 from .io import read_coloring, read_graph
 
 __all__ = [
@@ -148,7 +147,3 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             ok = False
         outcomes.append((f"witness:{key}", ok))
     return outcomes
-
-
-def coloring_from_report(record: dict[str, Any]) -> Coloring:
-    return Coloring.from_string(record["worst_coloring"])

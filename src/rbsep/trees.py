@@ -32,6 +32,7 @@ from .graphs import (
     Coloring,
     Graph,
     bits_of,
+    certify,
     is_tree,
     twin_classes,
     verify_rb_separating,
@@ -133,7 +134,7 @@ def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
         u = _support_of(t, v)
         w = next(x for x in t.neighbors(u) if x != v)
         out = tuple(sorted((v, w)))
-    assert verify_rb_separating(t, c, out) is None
+    certify(verify_rb_separating(t, c, out))
     return out
 
 
@@ -195,8 +196,8 @@ def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     c2 = _shift_away_from_single_leaves(t, profile, c2_base, c2_base)
     out1 = tuple(sorted(c1))
     out2 = tuple(sorted(c2))
-    assert verify_separating(t, out1) is None
-    assert verify_separating(t, out2) is None
+    certify(verify_separating(t, out1))
+    certify(verify_separating(t, out2))
     return out1, out2
 
 
@@ -235,7 +236,7 @@ def _star_rb_set(t: Graph, c: Coloring, profile: TreeProfile) -> tuple[int, ...]
             break
         chosen.add(v)
     out = tuple(sorted(chosen))
-    assert verify_rb_separating(t, c, out) is None
+    certify(verify_rb_separating(t, c, out))
     return out
 
 
@@ -324,8 +325,8 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
 
     chosen = _shift_away_from_single_leaves(t, profile, chosen, base)
     out = tuple(sorted(chosen))
-    assert verify_rb_separating(t, c, out) is None
-    assert 2 * len(out) <= t.n + profile.support_count
+    certify(verify_rb_separating(t, c, out))
+    certify(None if 2 * len(out) <= t.n + profile.support_count else "2|S| > n + s")
     return out
 
 
@@ -348,6 +349,6 @@ def tree_all_pairs_construct(t: Graph) -> tuple[int, ...]:
         v = next(x for x in t.neighbors(u) if x in leaf_set)
         removed.add(v)
     out = tuple(v for v in range(t.n) if v not in removed)
-    assert len(out) == t.n - profile.support_count
-    assert verify_separating(t, out) is None
+    certify(None if len(out) == t.n - profile.support_count else "|S| != n - s")
+    certify(verify_separating(t, out))
     return out

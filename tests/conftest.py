@@ -8,6 +8,7 @@ branch-and-bound solvers they certify.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from rbsep.graphs import Coloring, Graph
@@ -96,3 +97,35 @@ def brute_cover_optimum(universe_size: int, sets: list[tuple[int, ...]]) -> int:
             if union == full:
                 return size
     raise AssertionError("universe not coverable")
+
+
+def reference_greedy(g: Graph, pairs) -> tuple[tuple[int, ...], int]:
+    """Max-coverage greedy over vertex pairs, with its optimum lower bound.
+
+    A vertex covers pair (u, w) when it lies in exactly one of N[u], N[w].
+    Each round takes the vertex covering the most pairs still uncovered,
+    the lowest vertex on ties. Returns the chosen set in ascending order and
+    max(ceil(|U| / largest cover), ceil(|chosen| / (ln|U| + 1))), 0 for an
+    empty universe.
+    """
+    nb = closed_sets(g)
+    covers = [
+        frozenset((u, w) for u, w in pairs if (v in nb[u]) != (v in nb[w]))
+        for v in range(g.n)
+    ]
+    left = set(pairs)
+    chosen = []
+    while left:
+        gains = [len(cover & left) for cover in covers]
+        if max(gains) == 0:
+            raise AssertionError("a pair is covered by no vertex")
+        v = gains.index(max(gains))
+        chosen.append(v)
+        left -= covers[v]
+    if not pairs:
+        return (), 0
+    factor = math.log(len(pairs)) + 1
+    largest = max(len(cover) for cover in covers)
+    return tuple(sorted(chosen)), max(
+        math.ceil(len(pairs) / largest), math.ceil(len(chosen) / factor)
+    )

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import (
     complete_bipartite,
     cycle_graph,
     path_graph,
+    reference_greedy,
 )
 from rbsep.approx import (
     SetSystem,
@@ -37,6 +39,7 @@ from rbsep.graphs import (
     verify_rb_separating,
     verify_separating,
 )
+from rbsep.hitting import greedy_hitting_set
 
 
 def test_reduce_monochromatic():
@@ -95,6 +98,40 @@ def test_greedy_set_cover_tie_rule():
 def test_greedy_set_cover_uncoverable():
     with pytest.raises(Uncoverable):
         greedy_set_cover(SetSystem(2, ("a", "b"), ((0, (0,)),)))
+
+
+def test_greedy_hitting_set_raises_on_unhittable_element():
+    assert greedy_hitting_set([0b011, 0b110], 0b111) == [0, 1]
+    with pytest.raises(ValueError):
+        greedy_hitting_set([0b011, 0b010], 0b111)
+
+
+def test_greedy_routes_match_frozenset_reference():
+    rng = random.Random(2)
+    for n in range(2, 34):
+        for _ in range(3):
+            g = gen_random_twin_free(n, rng.choice([0.2, 0.3, 0.5]), rng.randrange(1 << 30))
+            c = Coloring(n, rng.getrandbits(n))
+            rb = sep_rb_greedy(g, c)
+            rb_pairs = [(r, b) for r in c.red_vertices() for b in c.blue_vertices()]
+            assert (rb.solution, rb.optimum_lower_bound) == reference_greedy(g, rb_pairs)
+            assert rb.guarantee == max(1.0, 2 * math.log(n))
+            ap = sep_all_pairs_greedy(g)
+            all_pairs = list(combinations(range(n), 2))
+            assert (ap.solution, ap.optimum_lower_bound) == reference_greedy(g, all_pairs)
+            assert ap.guarantee == (2 * math.log(n) + 1) * max(1, (n - 1).bit_length())
+
+
+def test_twin_pair_reported_in_each_solvers_pair_order():
+    # 2K2: 0 and 2 are twins, so are 1 and 3; both pairs are red-blue.
+    g = Graph.from_edges(4, [(0, 2), (1, 3)])
+    c = Coloring.from_string("BRRB")
+    with pytest.raises(Unseparable) as exc:
+        sep_rb_greedy(g, c)
+    assert exc.value.pair == (1, 3)  # red-major: red 1 before red 2
+    with pytest.raises(Unseparable) as exc:
+        sep_rb_exact(g, c)
+    assert exc.value.pair == (0, 2)  # lexicographic over u < w
 
 
 def test_greedy_factor_on_k55():

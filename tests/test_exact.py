@@ -1,4 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +17,17 @@ from conftest import (
     cycle_graph,
     path_graph,
 )
+import rbsep
 from rbsep.errors import CapExceeded, Infeasible, NotTwinFree, Unseparable
 from rbsep.exact import (
+    all_pairs_difference_masks,
     bondy_remove,
     gamma_exact,
     maxsep_exact,
     sep_exact,
     sep_exact_allow_twins,
     sep_rb_exact,
+    split_pairs,
 )
 from rbsep.generators import gen_half_graph_complement, gen_random_tree, gen_random_twin_free
 from rbsep.graphs import (
@@ -226,3 +235,49 @@ def test_report_fields():
     assert rep.nodes_explored > 0
     assert rep.elapsed_ms >= 0.0
     assert rep.witness == tuple(sorted(rep.witness))
+
+
+def test_split_pairs_matches_pair_enumeration():
+    rng = random.Random(5)
+    for n in range(9):
+        pairs = list(combinations(range(n), 2))
+        for x in range(1 << n):
+            inside = {v for v in range(n) if x >> v & 1}
+            expected = sum(
+                1 << i for i, (u, w) in enumerate(pairs) if (u in inside) != (w in inside)
+            )
+            assert split_pairs(x, n) == expected
+        # Bit i is the pair of all_pairs_difference_masks()[i].
+        g = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.4])
+        diffs = all_pairs_difference_masks(g)
+        for v in range(n):
+            col = split_pairs(g.closed[v], n)
+            assert [col >> i & 1 for i in range(len(pairs))] == [d >> v & 1 for d in diffs]
+
+
+def test_certification_holds_under_python_O():
+    # A kernel returning a wrong witness must not get through when asserts
+    # are compiled out.
+    code = textwrap.dedent(
+        """
+        import rbsep.exact
+        from rbsep.errors import CertificationError
+        from rbsep.graphs import Coloring, Graph
+
+        if __debug__:
+            raise SystemExit("expected to run under -O")
+        rbsep.exact.minimum_hitting_set = lambda masks, budget=None, stats=None: 0b1
+        p6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+        try:
+            rbsep.exact.sep_rb_exact(p6, Coloring.from_string("RRRBBB"))
+        except CertificationError as exc:
+            print(exc)
+        """
+    )
+    src = str(Path(rbsep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout == "certification failed: (2, 3)\n"
