@@ -390,6 +390,7 @@ def xp_exact_small_class(
             for v in subset:
                 smask |= 1 << v
             if all(d & smask for d in distinct):
+                certify(verify_rb_separating(g, c, subset))
                 return SolveReport(
                     optimum=size,
                     witness=subset,

@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, BudgetExceeded) as exc:
         _emit(f"cap exceeded: {exc}")
         return EXIT_CAP
-    except (FormatError, RBSepError, ValueError, OSError) as exc:
+    except (FormatError, RBSepError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -10,8 +10,10 @@ which also answers the decision form ("is the optimum <= k?") without
 solving past the budget. Witnesses are certified against the verifiers
 before being reported.
 
-``split_pairs`` defines the pair universe as a bitset, for the greedy's
-columns, the red-blue pairs and the sweep's Gray-code flips alike.
+``split_pairs`` numbers the pairs lexicographically, for the greedy routes.
+The worst-coloring sweep numbers them in ``hitting.by_size`` order of their
+masks, so its bitset of red-blue pairs is both the greedy's universe and the
+exact kernel's ``rest``.
 
 All solvers are single-threaded and reentrant: they share no mutable state,
 so callers may run many instances in parallel. Inside the worst-coloring
@@ -24,12 +26,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily, NotTwinFree, Unseparable
 from .graphs import (
     Coloring,
     Graph,
+    bfs_parity,
     bits_of,
     certify,
     mask_of,
@@ -38,7 +42,7 @@ from .graphs import (
     verify_rb_separating,
     verify_separating,
 )
-from .hitting import greedy_hitting_set, hitting_set_within, minimum_hitting_set
+from .hitting import by_size, columns, greedy_hitting_set, hitting_set_within, minimum_hitting_set
 
 __all__ = [
     "SolveReport",
@@ -106,8 +110,7 @@ def split_pairs(x: int, n: int) -> int:
 
     Pair (u, w) is bit ``u*n - u*(u+1)/2 + w - u - 1``, the index of its
     mask in ``all_pairs_difference_masks``. With ``x`` = N[v] these are the
-    pairs v separates; with the red mask, the red-blue pairs; with ``{w}``,
-    the pairs whose colors differ after w changes color.
+    pairs v separates; with the red mask, the red-blue pairs.
     """
     out = 0
     offset = 0
@@ -191,34 +194,39 @@ def gamma_exact(g: Graph) -> SolveReport:
 def _parity_preseed_mask(g: Graph) -> int:
     # Red = odd BFS layers, per component, component roots blue. Vertex 0 is
     # always blue, matching the color-swap normalization of the sweep.
-    color = [-1] * g.n
-    red = 0
+    seen = red = 0
     for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in bits_of(g.adj[u]):
-                    if color[v] == -1:
-                        color[v] = color[u] ^ 1
-                        if color[v]:
-                            red |= 1 << v
-                        nxt.append(v)
-            frontier = nxt
+        if not seen >> root & 1:
+            reached, odd = bfs_parity(g, root)
+            seen |= reached
+            red |= odd
     return red
+
+
+def _sweep_order(flips: list[int], first: int) -> Iterator[tuple[int, int]]:
+    # (red mask, red-blue pair ids) of ``first``, then of every coloring with
+    # vertex 0 blue but all-blue, in Gray-code order with one XOR per flip.
+    active = 0
+    for w in bits_of(first):
+        active ^= flips[w]
+    yield first, active
+    red = active = 0
+    for step in range(1, 1 << (len(flips) - 1)):
+        w = (step & -step).bit_length()  # Gray code flips vertex tz(step)+1
+        red ^= 1 << w
+        active ^= flips[w]
+        yield red, active
 
 
 def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     """Maximum of sep_RB(g, c) over all red-blue colorings c.
 
     Enumerates the 2^(n-1) colorings with vertex 0 fixed blue (color-swap
-    symmetry halves the space) in Gray-code order, keeping the bitset of
-    red-blue pairs up to date with one XOR per flip. The greedy gives each
-    coloring a cheap upper bound; only colorings where it exceeds the
-    incumbent pay for an exact decision.
+    symmetry halves the space) in Gray-code order, after the bipartite-parity
+    coloring. Pairs are numbered once, in ``hitting.by_size`` order of their
+    difference masks; the greedy and the exact kernel read the same bitset of
+    red-blue pair ids. The greedy gives each coloring a cheap upper bound;
+    only colorings where it exceeds the incumbent pay for exact decisions.
 
     Requires a twin-free graph of order at most ``n_cap``.
     """
@@ -231,39 +239,25 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     if n == 0:
         return MaxSepReport(0, Coloring(0, 0), 1)
 
-    diffs = all_pairs_difference_masks(g)
-    cols = [split_pairs(nv, n) for nv in g.closed]
-    flips = [split_pairs(1 << w, n) for w in range(n)]
+    closed = g.closed
+    pairs = sorted(combinations(range(n), 2), key=lambda p: by_size(closed[p[0]] ^ closed[p[1]]))
+    diffs = [closed[u] ^ closed[w] for u, w in pairs]
+    cols = columns(diffs, n)
+    flips = columns([1 << u | 1 << w for u, w in pairs], n)
 
-    def active_masks(active: int) -> list[int]:
-        return sorted({diffs[i] for i in bits_of(active)})
-
-    # Incumbent from the bipartite-parity coloring, usually near the maximum.
-    best_red = _parity_preseed_mask(g)
     stats = [0]
-    found = minimum_hitting_set(active_masks(split_pairs(best_red, n)), stats=stats)
-    assert found is not None
-    best = found.bit_count()
-
-    red = 0
-    active = 0
-    total = 1 << (n - 1)
-    for step in range(1, total):
-        w = (step & -step).bit_length()  # Gray code flips vertex tz(step)+1
-        red ^= 1 << w
-        active ^= flips[w]
+    best = 0
+    best_red = _parity_preseed_mask(g)
+    for red, active in _sweep_order(flips, best_red):
         if len(greedy_hitting_set(cols, active)) <= best:
             continue
-        masks = active_masks(active)
-        if hitting_set_within(masks, best, stats) is not None:
-            continue
-        k = best + 1
-        while hitting_set_within(masks, k, stats) is None:
+        k = best
+        while hitting_set_within(diffs, cols, active, k, stats) is None:
             k += 1
-        best = k
-        best_red = red
+        if k > best:
+            best, best_red = k, red
 
-    return MaxSepReport(best, Coloring(n, best_red), total)
+    return MaxSepReport(best, Coloring(n, best_red), 1 << (n - 1))
 
 
 def bondy_remove(family: Sequence[Iterable[int]]) -> int:

@@ -26,6 +26,7 @@ __all__ = [
     "GraphProfile",
     "bits_of",
     "mask_of",
+    "bfs_parity",
     "closed_neighborhood",
     "code_of",
     "twin_classes",
@@ -312,19 +313,25 @@ class GraphProfile:
     twin_free: bool
 
 
-def is_connected(g: Graph) -> bool:
-    """True when the graph has at most one connected component."""
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def bfs_parity(g: Graph, root: int) -> tuple[int, int]:
+    """Bitmask BFS from ``root``: (vertices reached, those at odd distance)."""
+    reached = frontier = 1 << root
+    odd = depth = 0
     while frontier:
         nxt = 0
         for v in bits_of(frontier):
             nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+        frontier = nxt & ~reached
+        reached |= frontier
+        depth += 1
+        if depth & 1:
+            odd |= frontier
+    return reached, odd
+
+
+def is_connected(g: Graph) -> bool:
+    """True when the graph has at most one connected component."""
+    return g.n == 0 or bfs_parity(g, 0)[0] == (1 << g.n) - 1
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -5,64 +5,71 @@ to the same problem: given a list of nonempty vertex masks, find a smallest
 vertex set intersecting every mask. The solvers wrap this kernel with their
 own mask derivations.
 
-The search is iterative deepening (k = 0, 1, 2, ...) around a depth-limited
-branch and bound: branch on the vertices of a smallest unhit mask, prune with
-a greedy packing of pairwise-disjoint masks. Ties break toward the lowest
-vertex index, so results are deterministic.
-
-``greedy_hitting_set`` works on the transposed instance: one column bitset
-per vertex, holding the elements (for separation, vertex pairs) it hits.
+Both searches read the transposed instance: ``columns`` gives one bitset per
+vertex, bit i of ``cols[v]`` set iff v is in ``masks[i]``, so hitting every
+mask v meets turns a bitset ``rest`` of mask ids into ``rest & ~cols[v]``.
+The exact search is iterative deepening (k = 0, 1, 2, ...) around a
+depth-limited branch and bound: branch on the vertices of the mask with the
+lowest id in ``rest``, prune with a greedy packing of pairwise-disjoint masks
+taken in id order. Ids numbered in ``by_size`` order make the pivot a
+smallest unhit mask, with ties toward the lowest vertex index, so results
+are deterministic. ``greedy_hitting_set`` takes any bitset as its universe.
 """
 
 from __future__ import annotations
 
 from .graphs import bits_of
 
-__all__ = ["greedy_hitting_set", "minimum_hitting_set", "hitting_set_within"]
+__all__ = ["by_size", "columns", "greedy_hitting_set", "minimum_hitting_set", "hitting_set_within"]
 
 
-def _disjoint_packing_bound(masks: list[int]) -> int:
-    # Pairwise-disjoint masks need pairwise-distinct hitters.
-    union = 0
-    count = 0
-    for m in masks:
-        if not m & union:
-            count += 1
-            union |= m
-    return count
+def by_size(mask: int) -> tuple[int, int]:
+    """Sort key numbering masks by popcount, then value: the pivot order."""
+    return mask.bit_count(), mask
 
 
-def _search(masks: list[int], limit: int, stats: list[int]) -> int | None:
+def columns(masks: list[int], n: int) -> list[int]:
+    """Transpose ``masks``: bit i of ``cols[v]`` is set iff v is in ``masks[i]``."""
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        for v in bits_of(m):
+            cols[v] |= 1 << i
+    return cols
+
+
+def _search(
+    masks: list[int], cols: list[int], rest: int, limit: int, stats: list[int]
+) -> int | None:
     stats[0] += 1
-    if not masks:
+    if not rest:
         return 0
     if limit <= 0:
         return None
-    union = 0
+    # Pairwise-disjoint masks need pairwise-distinct hitters.
+    left = rest
     lb = 0
-    for m in masks:
-        if not m & union:
-            lb += 1
-            if lb > limit:
-                return None
-            union |= m
-    pivot = min(masks, key=lambda m: (m.bit_count(), m))
-    for v in bits_of(pivot):
-        bit = 1 << v
-        rest = [m for m in masks if not m & bit]
-        sub = _search(rest, limit - 1, stats)
+    while left:
+        lb += 1
+        if lb > limit:
+            return None
+        for v in bits_of(masks[(left & -left).bit_length() - 1]):
+            left &= ~cols[v]
+    for v in bits_of(masks[(rest & -rest).bit_length() - 1]):
+        sub = _search(masks, cols, rest & ~cols[v], limit - 1, stats)
         if sub is not None:
-            return sub | bit
+            return sub | 1 << v
     return None
 
 
-def hitting_set_within(masks: list[int], limit: int, stats: list[int]) -> int | None:
-    """Depth-limited search: a hitting set of size <= limit, or None.
+def hitting_set_within(
+    masks: list[int], cols: list[int], rest: int, limit: int, stats: list[int]
+) -> int | None:
+    """Depth-limited search: a set of size <= limit hitting each mask in ``rest``.
 
-    ``masks`` must be nonempty bitmasks; duplicates are tolerated but cost
-    time, so callers should dedup. ``stats[0]`` accumulates explored nodes.
+    ``rest`` is a bitset of ids of nonempty masks in ``masks``, whose columns
+    are ``cols``. Returns a vertex mask or None; ``stats[0]`` counts nodes.
     """
-    return _search(masks, limit, stats)
+    return _search(masks, cols, rest, limit, stats)
 
 
 def minimum_hitting_set(
@@ -75,12 +82,14 @@ def minimum_hitting_set(
     """
     if stats is None:
         stats = [0]
-    distinct = sorted(set(masks))
+    distinct = sorted(set(masks), key=by_size)
     if distinct and distinct[0] == 0:
         raise ValueError("empty mask cannot be hit")
+    cols = columns(distinct, max(distinct, default=0).bit_length())
+    rest = (1 << len(distinct)) - 1
     hi = len(distinct) if budget is None else min(budget, len(distinct))
     for k in range(hi + 1):
-        found = _search(distinct, k, stats)
+        found = _search(distinct, cols, rest, k, stats)
         if found is not None:
             return found
     return None

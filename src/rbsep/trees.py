@@ -31,6 +31,7 @@ from .errors import NotATree, NotTwinFree, WrongClassSize, XIsLeaf
 from .graphs import (
     Coloring,
     Graph,
+    bfs_parity,
     bits_of,
     certify,
     is_tree,
@@ -138,21 +139,6 @@ def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
     return out
 
 
-def _distances_from(t: Graph, x: int) -> list[int]:
-    dist = [-1] * t.n
-    dist[x] = 0
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in bits_of(t.adj[u]):
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def _shift_away_from_single_leaves(
     t: Graph, profile: TreeProfile, chosen: set[int], base: set[int]
 ) -> set[int]:
@@ -188,10 +174,10 @@ def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if t.degree(x) <= 1:
         raise XIsLeaf(f"vertex {x} is a leaf")
     profile = tree_profile(t)
-    dist = _distances_from(t, x)
+    reached, odd = bfs_parity(t, x)
     leaves = set(profile.leaves)
-    c1_base = {v for v in range(t.n) if dist[v] % 2 == 1} | leaves
-    c2_base = {v for v in range(t.n) if dist[v] % 2 == 0} | leaves
+    c1_base = set(bits_of(odd)) | leaves
+    c2_base = set(bits_of(reached & ~odd)) | leaves
     c1 = _shift_away_from_single_leaves(t, profile, c1_base, c1_base)
     c2 = _shift_away_from_single_leaves(t, profile, c2_base, c2_base)
     out1 = tuple(sorted(c1))
@@ -262,15 +248,14 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
         return _star_rb_set(t, c, profile)
 
     x = next(v for v in range(t.n) if v not in leaf_set)
-    dist = _distances_from(t, x)
+    reached, odd = bfs_parity(t, x)
     ns3 = set(ns3_vertices(t, profile))
     s_plus = set(profile.s_plus)
     outside = [
         v for v in range(t.n) if v not in leaf_set and v not in s_plus and v not in ns3
     ]
-    odd = {v for v in range(t.n) if dist[v] % 2 == 1}
-    c1_prime = odd | leaf_set
-    c2_prime = ({v for v in range(t.n) if dist[v] % 2 == 0}) | leaf_set
+    c1_prime = set(bits_of(odd)) | leaf_set
+    c2_prime = set(bits_of(reached & ~odd)) | leaf_set
     cost1 = sum(1 for v in outside if v in c1_prime)
     cost2 = sum(1 for v in outside if v in c2_prime)
     base = c1_prime if cost1 <= cost2 else c2_prime

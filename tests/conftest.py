@@ -129,3 +129,15 @@ def reference_greedy(g: Graph, pairs) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(chosen)), max(
         math.ceil(len(pairs) / largest), math.ceil(len(chosen) / factor)
     )
+
+
+def brute_min_hitting_set(sets) -> int:
+    """Fewest elements meeting every set, by ascending-size enumeration."""
+    families = [frozenset(s) for s in sets]
+    ground = sorted(frozenset().union(*families))
+    for size in range(len(ground) + 1):
+        for combo in combinations(ground, size):
+            chosen = frozenset(combo)
+            if all(f & chosen for f in families):
+                return size
+    raise AssertionError("an empty set cannot be hit")

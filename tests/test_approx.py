@@ -25,6 +25,7 @@ from rbsep.approx import (
 )
 from rbsep.errors import (
     BudgetExceeded,
+    CertificationError,
     NotTriangleFree,
     NotTwinFree,
     Uncoverable,
@@ -285,3 +286,11 @@ def test_set_system_text_round_trip():
     back = set_system_from_text(text)
     assert back.universe_size == 3
     assert tuple((lbl, el) for lbl, el in back.sets) == sys_.sets
+
+
+def test_xp_witness_is_certified(monkeypatch):
+    # With no masks every subset looks separating; the verifier must catch
+    # the empty witness.
+    monkeypatch.setattr("rbsep.approx.rb_difference_masks", lambda g, c: [])
+    with pytest.raises(CertificationError):
+        xp_exact_small_class(path_graph(6), Coloring.from_string("RBBBBB"))

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from rbsep.cli import main
 from rbsep.graphs import Coloring
 from rbsep.io import read_coloring, read_graph, write_coloring, write_graph
 
@@ -173,3 +174,12 @@ def test_experiment_ratio_columns_hold(tmp_path):
         record = dict(zip(header, row.split(",")))
         for flag in ("lb_ok", "ratio_log_ok", "ratio_degree_ok", "greedy_ratio_ok"):
             assert record[flag] in ("", "1")
+
+
+def test_memory_error_exits_input(monkeypatch, capsys):
+    def exhausted(path):
+        raise MemoryError("graph too large")
+
+    monkeypatch.setattr("rbsep.io.read_graph", exhausted)
+    assert main(["maxsep", "--graph", "x"]) == 2
+    assert "error: graph too large" in capsys.readouterr().err

@@ -281,3 +281,32 @@ def test_certification_holds_under_python_O():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout == "certification failed: (2, 3)\n"
+
+
+# (seed, coloring, sep_rb witness, sep witness, gamma witness, maxsep value,
+# worst coloring) on trees (seed % 3 == 0) and G(n, 0.3) with n = 9 + seed % 4.
+PINNED = [
+    (0, "BRBRBBBRR", (1, 4, 6, 7), (1, 2, 3, 4, 6), (0, 5, 6), 5, "BRBRRBRRB"),
+    (1, "RRBBRBBBRB", (0, 1, 9), (0, 1, 2, 4, 5, 7), (0, 1, 2, 3, 5), 5, "BRRBBRRRBB"),
+    (2, "RRRBBRRRBBB", (3, 7, 8), (1, 2, 3, 4, 6, 9), (3, 6, 9, 10), 5, "BBBRRRBBRRB"),
+    (3, "RBRRRBBRRRRB", (1, 5, 6), (0, 1, 4, 5, 7, 9), (0, 1, 2, 4, 7), 6, "BBBRRBRRBBBB"),
+    (4, "RBBBRRRRB", (1, 8), (0, 2, 3, 4), (0, 1), 4, "BBRRRBBBB"),
+    (5, "RRBRBBBBBR", (2, 3, 4), (1, 2, 3, 5), (7, 9), 4, "BBBRBRRBBB"),
+    (6, "BRBRBBRBRBB", (0, 1, 7, 10), (0, 1, 2, 3, 7, 8), (0, 1, 4, 9), 5, "BBRBRRBRBRB"),
+    (7, "BBRRRBRBBRBR", (0, 2, 5), (0, 1, 4, 6, 7, 8), (0, 2, 3), 5, "BRRRRRBBBBBB"),
+    (8, "BBBRBRRRB", (1, 2, 8), (2, 3, 4, 5), (0, 2, 4), 4, "BBRRRBRRR"),
+    (9, "BBRBRRBRRR", (1, 4, 5, 9), (0, 1, 4, 5, 9), (1, 2, 3, 5), 5, "BBRRBRBRBB"),
+]
+
+
+@pytest.mark.parametrize("seed, coloring, rb, sep, gamma, value, worst", PINNED)
+def test_exact_witnesses_are_pinned(seed, coloring, rb, sep, gamma, value, worst):
+    # Refactors of the kernel or the sweep must keep every witness, not
+    # just every optimum.
+    n = 9 + seed % 4
+    g = gen_random_twin_free(n, 0.3, seed) if seed % 3 else gen_random_tree(n, seed)
+    assert sep_rb_exact(g, Coloring.from_string(coloring)).witness == rb
+    assert sep_exact(g).witness == sep
+    assert gamma_exact(g).witness == gamma
+    report = maxsep_exact(g)
+    assert (report.value, report.worst_coloring.to_string()) == (value, worst)

@@ -1,0 +1,60 @@
+import random
+
+import pytest
+
+from conftest import brute_min_hitting_set
+from rbsep.hitting import by_size, columns, hitting_set_within, minimum_hitting_set
+
+
+def as_set(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def random_family(rng: random.Random) -> tuple[list[int], int]:
+    # Unsorted, with repeats: the kernel must not rely on either.
+    n = rng.randint(1, 9)
+    masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 14))]
+    masks += [rng.choice(masks) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(masks)
+    return masks, n
+
+
+def test_columns_transpose_the_masks():
+    masks = [0b011, 0b110, 0b101, 0b110]
+    assert columns(masks, 4) == [0b0101, 0b1011, 0b1110, 0]
+    assert sorted(masks, key=by_size) == [0b011, 0b101, 0b110, 0b110]
+
+
+def test_hitting_set_within_decides_as_the_oracle():
+    rng = random.Random(3)
+    for _ in range(150):
+        masks, n = random_family(rng)
+        cols = columns(masks, n)
+        rest = rng.randrange(1 << len(masks))
+        live = [m for i, m in enumerate(masks) if rest >> i & 1]
+        opt = brute_min_hitting_set(as_set(m) for m in live)
+        for k in range(opt + 2):
+            stats = [0]
+            found = hitting_set_within(masks, cols, rest, k, stats)
+            assert (found is not None) == (k >= opt)
+            assert stats[0] >= 1
+            if found is not None:
+                assert found.bit_count() <= k
+                assert all(m & found for m in live)
+
+
+def test_minimum_hitting_set_is_optimal():
+    rng = random.Random(4)
+    for _ in range(150):
+        masks, _n = random_family(rng)
+        opt = brute_min_hitting_set(as_set(m) for m in masks)
+        found = minimum_hitting_set(masks)
+        assert found.bit_count() == opt
+        assert all(m & found for m in masks)
+        assert minimum_hitting_set(masks, budget=opt - 1) is None
+
+
+def test_minimum_hitting_set_rejects_an_empty_mask():
+    assert minimum_hitting_set([]) == 0
+    with pytest.raises(ValueError):
+        minimum_hitting_set([0b1, 0])
