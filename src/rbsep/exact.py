@@ -41,6 +41,7 @@ from .graphs import (
     verify_dominating,
     verify_rb_separating,
     verify_separating,
+    verify_separating_allow_twins,
 )
 from .hitting import by_size, columns, greedy_hitting_set, hitting_set_within, minimum_hitting_set
 
@@ -179,7 +180,9 @@ def sep_exact_allow_twins(g: Graph, budget: int | None = None) -> SolveReport:
     """
     start = time.perf_counter()
     masks = [d for d in all_pairs_difference_masks(g) if d]
-    return _solve_masks(masks, budget, "branch-and-bound", start)
+    out = _solve_masks(masks, budget, "branch-and-bound", start)
+    certify(verify_separating_allow_twins(g, out.witness))
+    return out
 
 
 def gamma_exact(g: Graph) -> SolveReport:
@@ -242,6 +245,7 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     closed = g.closed
     pairs = sorted(combinations(range(n), 2), key=lambda p: by_size(closed[p[0]] ^ closed[p[1]]))
     diffs = [closed[u] ^ closed[w] for u, w in pairs]
+    verts = [bits_of(d) for d in diffs]
     cols = columns(diffs, n)
     flips = columns([1 << u | 1 << w for u, w in pairs], n)
 
@@ -252,7 +256,7 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
         if len(greedy_hitting_set(cols, active)) <= best:
             continue
         k = best
-        while hitting_set_within(diffs, cols, active, k, stats) is None:
+        while hitting_set_within(verts, cols, active, k, stats) is None:
             k += 1
         if k > best:
             best, best_red = k, red

@@ -32,6 +32,7 @@ __all__ = [
     "twin_classes",
     "verify_rb_separating",
     "verify_separating",
+    "verify_separating_allow_twins",
     "verify_dominating",
     "certify",
     "graph_profile",
@@ -278,6 +279,23 @@ def verify_separating(g: Graph, s: Iterable[int]) -> tuple[int, int] | None:
                 best = pair
         else:
             seen[cv] = v
+    return best
+
+
+def verify_separating_allow_twins(g: Graph, s: Iterable[int]) -> tuple[int, int] | None:
+    """Check that all codes under s are distinct, except between twins.
+
+    Returns None when valid, otherwise the lexicographically smallest pair
+    (u, v) with equal codes but N[u] != N[v].
+    """
+    smask = _set_mask(g, s)
+    closed = g.closed
+    first: dict[int, int] = {}
+    best: tuple[int, int] | None = None
+    for v in range(g.n):
+        u = first.setdefault(closed[v] & smask, v)
+        if closed[u] != closed[v] and (best is None or (u, v) < best):
+            best = (u, v)
     return best
 
 

@@ -8,12 +8,15 @@ own mask derivations.
 Both searches read the transposed instance: ``columns`` gives one bitset per
 vertex, bit i of ``cols[v]`` set iff v is in ``masks[i]``, so hitting every
 mask v meets turns a bitset ``rest`` of mask ids into ``rest & ~cols[v]``.
-The exact search is iterative deepening (k = 0, 1, 2, ...) around a
+The exact search also reads ``verts[i] = bits_of(masks[i])``, built once per
+instance. It is iterative deepening (k = 0, 1, 2, ...) around a
 depth-limited branch and bound: branch on the vertices of the mask with the
 lowest id in ``rest``, prune with a greedy packing of pairwise-disjoint masks
-taken in id order. Ids numbered in ``by_size`` order make the pivot a
-smallest unhit mask, with ties toward the lowest vertex index, so results
-are deterministic. ``greedy_hitting_set`` takes any bitset as its universe.
+taken in id order. With one vertex left to pick the search decides without
+recursing: it returns the first pivot vertex whose column covers ``rest``.
+Ids numbered in ``by_size`` order make the pivot a smallest unhit mask, with
+ties toward the lowest vertex index, so results are deterministic.
+``greedy_hitting_set`` takes any bitset as its universe.
 """
 
 from __future__ import annotations
@@ -30,20 +33,31 @@ def by_size(mask: int) -> tuple[int, int]:
 
 def columns(masks: list[int], n: int) -> list[int]:
     """Transpose ``masks``: bit i of ``cols[v]`` is set iff v is in ``masks[i]``."""
+    return _columns([bits_of(m) for m in masks], n)
+
+
+def _columns(verts: list[tuple[int, ...]], n: int) -> list[int]:
     cols = [0] * n
-    for i, m in enumerate(masks):
-        for v in bits_of(m):
+    for i, vs in enumerate(verts):
+        for v in vs:
             cols[v] |= 1 << i
     return cols
 
 
 def _search(
-    masks: list[int], cols: list[int], rest: int, limit: int, stats: list[int]
+    verts: list[tuple[int, ...]], cols: list[int], rest: int, limit: int, stats: list[int]
 ) -> int | None:
     stats[0] += 1
     if not rest:
         return 0
     if limit <= 0:
+        return None
+    pivot = verts[(rest & -rest).bit_length() - 1]
+    if limit == 1:
+        # One vertex must hit the pivot and every other live mask.
+        for v in pivot:
+            if not rest & ~cols[v]:
+                return 1 << v
         return None
     # Pairwise-disjoint masks need pairwise-distinct hitters.
     left = rest
@@ -52,24 +66,27 @@ def _search(
         lb += 1
         if lb > limit:
             return None
-        for v in bits_of(masks[(left & -left).bit_length() - 1]):
+        for v in verts[(left & -left).bit_length() - 1]:
             left &= ~cols[v]
-    for v in bits_of(masks[(rest & -rest).bit_length() - 1]):
-        sub = _search(masks, cols, rest & ~cols[v], limit - 1, stats)
+    for v in pivot:
+        sub = _search(verts, cols, rest & ~cols[v], limit - 1, stats)
         if sub is not None:
             return sub | 1 << v
     return None
 
 
 def hitting_set_within(
-    masks: list[int], cols: list[int], rest: int, limit: int, stats: list[int]
+    verts: list[tuple[int, ...]], cols: list[int], rest: int, limit: int, stats: list[int]
 ) -> int | None:
     """Depth-limited search: a set of size <= limit hitting each mask in ``rest``.
 
-    ``rest`` is a bitset of ids of nonempty masks in ``masks``, whose columns
-    are ``cols``. Returns a vertex mask or None; ``stats[0]`` counts nodes.
+    ``rest`` is a bitset of ids of nonempty masks; ``verts[i]`` lists the
+    vertices of mask i (``bits_of``) and ``cols`` are the masks' columns.
+    Returns a vertex mask or None; ``stats[0]`` counts nodes. The last level
+    (``limit == 1``) is decided in its parent node without a child call, so
+    it adds no nodes.
     """
-    return _search(masks, cols, rest, limit, stats)
+    return _search(verts, cols, rest, limit, stats)
 
 
 def minimum_hitting_set(
@@ -85,11 +102,12 @@ def minimum_hitting_set(
     distinct = sorted(set(masks), key=by_size)
     if distinct and distinct[0] == 0:
         raise ValueError("empty mask cannot be hit")
-    cols = columns(distinct, max(distinct, default=0).bit_length())
+    verts = [bits_of(m) for m in distinct]
+    cols = _columns(verts, max(distinct, default=0).bit_length())
     rest = (1 << len(distinct)) - 1
     hi = len(distinct) if budget is None else min(budget, len(distinct))
     for k in range(hi + 1):
-        found = _search(distinct, cols, rest, k, stats)
+        found = _search(verts, cols, rest, k, stats)
         if found is not None:
             return found
     return None

@@ -34,6 +34,11 @@ __all__ = [
     "read_vertex_set",
 ]
 
+# Largest graph order the reader accepts. A header alone costs nothing to
+# write, but a solver reading ``Graph.closed`` of an edgeless order-n graph
+# builds n ints of up to n bits: about 6 MB at this bound, 60 GB at 10**6.
+MAX_GRAPH_ORDER = 10_000
+
 
 def graph_to_text(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
@@ -54,6 +59,8 @@ def graph_from_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError("non-integer header field", line=1) from None
+    if not 0 <= n <= MAX_GRAPH_ORDER:
+        raise FormatError(f"graph order {n} is outside 0..{MAX_GRAPH_ORDER}", line=1)
     if len(lines) - 1 != m:
         raise FormatError(f"header declares {m} edges but file has {len(lines) - 1}", line=1)
     edges = []

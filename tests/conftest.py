@@ -141,3 +141,22 @@ def brute_min_hitting_set(sets) -> int:
             if all(f & chosen for f in families):
                 return size
     raise AssertionError("an empty set cannot be hit")
+
+
+def first_dfs_hitting_set(sets, live, limit):
+    """First set of at most ``limit`` elements that plain DFS finds, or None.
+
+    ``sets`` is a list of nonempty sets and ``live`` the indices still to
+    hit. The search branches on the elements of the lowest live index in
+    ascending order, with no bound and no shortcut, so it fixes which set a
+    pruned search must return.
+    """
+    if not live:
+        return frozenset()
+    if limit <= 0:
+        return None
+    for v in sorted(sets[min(live)]):
+        sub = first_dfs_hitting_set(sets, [i for i in live if v not in sets[i]], limit - 1)
+        if sub is not None:
+            return sub | {v}
+    return None

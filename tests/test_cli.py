@@ -4,7 +4,7 @@ import sys
 
 from rbsep.cli import main
 from rbsep.graphs import Coloring
-from rbsep.io import read_coloring, read_graph, write_coloring, write_graph
+from rbsep.io import MAX_GRAPH_ORDER, read_coloring, read_graph, write_coloring, write_graph
 
 from conftest import path_graph
 
@@ -183,3 +183,10 @@ def test_memory_error_exits_input(monkeypatch, capsys):
     monkeypatch.setattr("rbsep.io.read_graph", exhausted)
     assert main(["maxsep", "--graph", "x"]) == 2
     assert "error: graph too large" in capsys.readouterr().err
+
+
+def test_oversized_graph_order_exits_input(tmp_path, capsys):
+    gpath = tmp_path / "huge.txt"
+    gpath.write_text(f"{MAX_GRAPH_ORDER + 1} 0\n")
+    assert main(["maxsep", "--graph", str(gpath)]) == 2
+    assert "line 1" in capsys.readouterr().err

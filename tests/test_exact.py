@@ -18,7 +18,7 @@ from conftest import (
     path_graph,
 )
 import rbsep
-from rbsep.errors import CapExceeded, Infeasible, NotTwinFree, Unseparable
+from rbsep.errors import CapExceeded, CertificationError, Infeasible, NotTwinFree, Unseparable
 from rbsep.exact import (
     all_pairs_difference_masks,
     bondy_remove,
@@ -96,6 +96,12 @@ def test_sep_allow_twins_complete_multipartite():
     g = complete_bipartite(5, 5)
     assert sep_exact_allow_twins(g).optimum == 8  # n - t
     assert sep_exact(g).optimum == 8  # K_{5,5} is closed-twin-free anyway
+
+
+def test_sep_allow_twins_witness_is_certified(monkeypatch):
+    monkeypatch.setattr(rbsep.exact, "minimum_hitting_set", lambda masks, budget=None, stats=None: 0)
+    with pytest.raises(CertificationError):
+        sep_exact_allow_twins(path_graph(4))
 
 
 def test_gamma_exact_values():

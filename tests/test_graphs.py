@@ -14,6 +14,7 @@ from rbsep.graphs import (
     verify_dominating,
     verify_rb_separating,
     verify_separating,
+    verify_separating_allow_twins,
 )
 
 
@@ -71,6 +72,16 @@ def test_verify_separating_examples():
     # {0,1,3} looks plausible for P5 but vertices 0 and 1 share the code {0,1}
     assert verify_separating(path_graph(5), (0, 1, 3)) == (0, 1)
     assert verify_separating(path_graph(5), (0, 2, 4)) is None
+
+
+def test_verify_separating_allow_twins_examples():
+    assert verify_separating_allow_twins(Graph.from_edges(2, [(0, 1)]), ()) is None
+    assert verify_separating_allow_twins(path_graph(4), ()) == (0, 1)
+    # Triangle 0-1-2 with pendant 3 on 2: 0 and 1 are twins, 0 and 2 are not.
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert verify_separating_allow_twins(paw, ()) == (0, 2)
+    assert verify_separating_allow_twins(paw, (3,)) == (2, 3)
+    assert verify_separating_allow_twins(paw, (0, 3)) is None
 
 
 def test_verify_dominating_examples():
@@ -149,6 +160,23 @@ def test_color_swap_symmetry(gc, smask):
     g, c = gc
     s = [v for v in range(g.n) if smask >> v & 1]
     assert verify_rb_separating(g, c, s) == verify_rb_separating(g, c.swapped(), s)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph_and_coloring(), st.integers(min_value=0, max_value=255))
+def test_verify_separating_allow_twins_against_pairwise_comparison(gc, smask):
+    g, _ = gc
+    s = [v for v in range(g.n) if smask >> v & 1]
+    bad = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if code_of(g, s, u) == code_of(g, s, v)
+        and closed_neighborhood(g, u) != closed_neighborhood(g, v)
+    ]
+    assert verify_separating_allow_twins(g, s) == min(bad, default=None)
+    if twin_classes(g).is_twin_free:
+        assert verify_separating_allow_twins(g, s) == verify_separating(g, s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import brute_min_hitting_set
+from conftest import brute_min_hitting_set, first_dfs_hitting_set
+from rbsep.graphs import bits_of
 from rbsep.hitting import by_size, columns, hitting_set_within, minimum_hitting_set
 
 
@@ -35,12 +36,40 @@ def test_hitting_set_within_decides_as_the_oracle():
         opt = brute_min_hitting_set(as_set(m) for m in live)
         for k in range(opt + 2):
             stats = [0]
-            found = hitting_set_within(masks, cols, rest, k, stats)
+            found = hitting_set_within([bits_of(m) for m in masks], cols, rest, k, stats)
             assert (found is not None) == (k >= opt)
             assert stats[0] >= 1
             if found is not None:
                 assert found.bit_count() <= k
                 assert all(m & found for m in live)
+
+
+def test_hitting_set_within_returns_the_first_dfs_set():
+    # The packing bound and the last-level rule may only cut subtrees with
+    # no solution, so the set found is the one plain DFS finds first.
+    rng = random.Random(5)
+    for _ in range(150):
+        masks, n = random_family(rng)
+        sets = [as_set(m) for m in masks]
+        verts = [bits_of(m) for m in masks]
+        cols = columns(masks, n)
+        rest = rng.randrange(1 << len(masks))
+        live = [i for i in range(len(masks)) if rest >> i & 1]
+        opt = brute_min_hitting_set(sets[i] for i in live)
+        for k in range(opt + 2):
+            found = hitting_set_within(verts, cols, rest, k, [0])
+            expected = first_dfs_hitting_set(sets, live, k)
+            assert (None if found is None else as_set(found)) == expected
+
+
+def test_minimum_hitting_set_returns_the_first_dfs_set():
+    rng = random.Random(6)
+    for _ in range(150):
+        masks, _n = random_family(rng)
+        sets = [as_set(m) for m in sorted(set(masks), key=by_size)]
+        live = list(range(len(sets)))
+        opt = brute_min_hitting_set(sets)
+        assert as_set(minimum_hitting_set(masks)) == first_dfs_hitting_set(sets, live, opt)
 
 
 def test_minimum_hitting_set_is_optimal():

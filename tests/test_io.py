@@ -4,6 +4,7 @@ from conftest import path_graph
 from rbsep.errors import FormatError
 from rbsep.graphs import Coloring
 from rbsep.io import (
+    MAX_GRAPH_ORDER,
     coloring_from_text,
     coloring_to_text,
     graph_from_text,
@@ -31,6 +32,15 @@ def test_graph_parse_errors_carry_line_numbers():
         graph_from_text("x y\n")
     with pytest.raises(FormatError):
         graph_from_text("")
+
+
+def test_graph_order_is_bounded_before_allocation():
+    # Header-only files: no edge lines are needed to declare a huge order.
+    assert graph_from_text(f"{MAX_GRAPH_ORDER} 0\n").n == MAX_GRAPH_ORDER
+    for n in (MAX_GRAPH_ORDER + 1, -1):
+        with pytest.raises(FormatError) as exc:
+            graph_from_text(f"{n} 0\n")
+        assert exc.value.line == 1
 
 
 def test_coloring_round_trip():
