@@ -26,7 +26,6 @@ from .errors import (
     BudgetExceeded,
     FormatError,
     NotTriangleFree,
-    NotTwinFree,
     Uncoverable,
     Unseparable,
 )
@@ -39,7 +38,8 @@ from .graphs import (
     graph_profile,
     is_triangle_free,
     mask_of,
-    twin_classes,
+    require_coloring,
+    require_twin_free,
     verify_rb_separating,
     verify_separating,
 )
@@ -141,6 +141,7 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     set label) to red-blue separating sets of size k. Raises Unseparable on
     a pair covered by no set, i.e. a red-blue twin pair.
     """
+    require_coloring(g, c)
     reds = c.red_vertices()
     blues = c.blue_vertices()
     pairs = [(r, b) for r in reds for b in blues]
@@ -198,6 +199,7 @@ def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
     Raises Unseparable on the first red-blue twin pair in the element order
     of ``reduce_rb_to_set_cover`` (red ascending, then blue ascending).
     """
+    require_coloring(g, c)
     closed = g.closed
     blues = c.blue_vertices()
     for r in c.red_vertices():
@@ -226,9 +228,7 @@ def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
     sep(G) <= ceil(log2 n) * maxsep_RB(G) the same set approximates
     maxsep_RB within (2 ln n + 1) * ceil(log2 n), the factor recorded here.
     """
-    report = twin_classes(g)
-    if not report.is_twin_free:
-        raise NotTwinFree(report)
+    require_twin_free(g)
     n = g.n
     cols = [split_pairs(nv, n) for nv in g.closed]
     cover = _greedy_cover(cols, (1 << n * (n - 1) // 2) - 1)
@@ -259,12 +259,9 @@ def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
     indices are picked wherever the choice is free.
     """
     if not is_triangle_free(g):
-        raise NotTriangleFree("graph contains a triangle")
-    tw = twin_classes(g)
-    if not tw.is_twin_free:
-        raise NotTwinFree(tw)
-    if c.n != g.n:
-        raise ValueError("coloring size does not match graph order")
+        raise NotTriangleFree("construction requires profile flag triangle_free")
+    require_twin_free(g)
+    require_coloring(g, c)
 
     small, _ = _oriented(c)
     chosen = set(small)
@@ -301,14 +298,11 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
     hit per opposite neighbor, which is always valid and, because adjacent
     dominators cannot exist at deg(v) = Delta, always within Delta.
     """
-    tw = twin_classes(g)
-    if not tw.is_twin_free:
-        raise NotTwinFree(tw)
-    if c.n != g.n:
-        raise ValueError("coloring size does not match graph order")
+    require_twin_free(g)
+    require_coloring(g, c)
     profile = graph_profile(g)
     if profile.max_degree < 3:
-        raise ValueError("construction requires maximum degree at least 3")
+        raise ValueError("construction requires profile flag max_degree >= 3")
 
     small, big = _oriented(c)
     big_set = frozenset(big)
@@ -362,9 +356,8 @@ def xp_exact_small_class(
     lexicographic enumeration returns the optimum. Raises BudgetExceeded
     when the enumeration would scan more than ``node_budget`` subsets.
     """
-    tw = twin_classes(g)
-    if not tw.is_twin_free:
-        raise NotTwinFree(tw)
+    require_twin_free(g)
+    require_coloring(g, c)
     start = time.perf_counter()
     small, _ = _oriented(c)
     if is_triangle_free(g):

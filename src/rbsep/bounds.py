@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotTwinFree
 from .exact import MAXSEP_DEFAULT_CAP, gamma_exact, maxsep_exact, sep_exact
-from .graphs import Graph, graph_profile, twin_classes
+from .graphs import Graph, graph_profile, require_twin_free
 from .trees import tree_profile
 
 __all__ = ["BoundCheck", "BoundsReport", "check_bounds", "LOG_LB_EXCLUDED"]
@@ -61,9 +60,7 @@ def check_bounds(
     maxsep_cap: int = MAXSEP_DEFAULT_CAP,
 ) -> BoundsReport:
     """Evaluate every applicable inequality on a twin-free graph."""
-    tw = twin_classes(g)
-    if not tw.is_twin_free:
-        raise NotTwinFree(tw)
+    require_twin_free(g)
     profile = graph_profile(g)
     n = g.n
     sep = sep_exact(g).optimum if n <= sep_cap else None

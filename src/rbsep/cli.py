@@ -53,11 +53,6 @@ def cmd_solve(args) -> int:
     if method == "auto":
         method = "exact" if g.n <= args.sep_cap else "greedy"
         _emit(f"method {method} (auto)")
-    profile = graph_profile(g)
-    if method == "triangle-free" and not profile.triangle_free:
-        raise FormatError("method triangle-free requires profile flag triangle_free")
-    if method == "bounded-degree" and profile.max_degree < 3:
-        raise FormatError("method bounded-degree requires profile flag max_degree >= 3")
 
     if method == "exact":
         res = exact.sep_rb_exact(g, c, budget=args.budget)
@@ -186,12 +181,16 @@ def cmd_verify(args) -> int:
         for name, good in outcomes:
             _emit(f"recheck {name} {'ok' if good else 'FAIL'}")
         return EXIT_OK if ok else EXIT_ANSWER_NO
+    if not (args.graph and args.set):
+        raise ValueError("verify needs --report, or --graph and --set")
     g = io.read_graph(args.graph)
     s = io.read_vertex_set(args.set)
     kind = args.kind
     if kind == "auto":
         kind = "rb" if args.coloring else "all-pairs"
     if kind == "rb":
+        if not args.coloring:
+            raise ValueError("verify --kind rb needs --coloring")
         c = io.read_coloring(args.coloring, g.n)
         violation = verify_rb_separating(g, c, s)
     elif kind == "all-pairs":

@@ -10,6 +10,11 @@ which also answers the decision form ("is the optimum <= k?") without
 solving past the budget. Witnesses are certified against the verifiers
 before being reported.
 
+Before any search, ``rb_difference_masks`` calls ``graphs.require_coloring``
+and ``sep_exact`` and ``maxsep_exact`` call ``graphs.require_twin_free``.
+On a twin-free graph no difference mask is zero, so ``sep_exact`` is the
+twin-free case of ``sep_exact_allow_twins``.
+
 ``split_pairs`` numbers the pairs lexicographically, for the greedy routes.
 The worst-coloring sweep numbers them in ``hitting.by_size`` order of their
 masks, so its bitset of red-blue pairs is both the greedy's universe and the
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, Infeasible, NoDistinctFamily, NotTwinFree, Unseparable
+from .errors import CapExceeded, Infeasible, NoDistinctFamily, Unseparable
 from .graphs import (
     Coloring,
     Graph,
@@ -37,10 +42,10 @@ from .graphs import (
     bits_of,
     certify,
     mask_of,
-    twin_classes,
+    require_coloring,
+    require_twin_free,
     verify_dominating,
     verify_rb_separating,
-    verify_separating,
     verify_separating_allow_twins,
 )
 from .hitting import by_size, columns, greedy_hitting_set, hitting_set_within, minimum_hitting_set
@@ -85,6 +90,7 @@ def rb_difference_masks(g: Graph, c: Coloring) -> list[int]:
 
     Raises Unseparable on the lexicographically smallest red-blue twin pair.
     """
+    require_coloring(g, c)
     closed = g.closed
     red = c.red_mask
     masks = []
@@ -123,9 +129,7 @@ def split_pairs(x: int, n: int) -> int:
     return out
 
 
-def _solve_masks(
-    masks: list[int], budget: int | None, method: str, start: float
-) -> SolveReport:
+def _solve_masks(masks: list[int], budget: int | None, start: float) -> SolveReport:
     stats = [0]
     found = minimum_hitting_set(masks, budget=budget, stats=stats)
     if found is None:
@@ -134,7 +138,7 @@ def _solve_masks(
     return SolveReport(
         optimum=len(witness),
         witness=witness,
-        method=method,
+        method="branch-and-bound",
         nodes_explored=stats[0],
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
@@ -150,7 +154,7 @@ def sep_rb_exact(g: Graph, c: Coloring, budget: int | None = None) -> SolveRepor
     """
     start = time.perf_counter()
     masks = rb_difference_masks(g, c)
-    report = _solve_masks(masks, budget, "branch-and-bound", start)
+    report = _solve_masks(masks, budget, start)
     certify(verify_rb_separating(g, c, report.witness))
     return report
 
@@ -159,16 +163,11 @@ def sep_exact(g: Graph, budget: int | None = None) -> SolveReport:
     """Minimum set giving all n vertices pairwise distinct codes.
 
     Requires a twin-free graph; raises NotTwinFree carrying the twin classes
-    otherwise.
+    otherwise. On such a graph no pair is exempt, so this is
+    ``sep_exact_allow_twins``.
     """
-    start = time.perf_counter()
-    report = twin_classes(g)
-    if not report.is_twin_free:
-        raise NotTwinFree(report)
-    masks = all_pairs_difference_masks(g)
-    out = _solve_masks(masks, budget, "branch-and-bound", start)
-    certify(verify_separating(g, out.witness))
-    return out
+    require_twin_free(g)
+    return sep_exact_allow_twins(g, budget)
 
 
 def sep_exact_allow_twins(g: Graph, budget: int | None = None) -> SolveReport:
@@ -180,7 +179,7 @@ def sep_exact_allow_twins(g: Graph, budget: int | None = None) -> SolveReport:
     """
     start = time.perf_counter()
     masks = [d for d in all_pairs_difference_masks(g) if d]
-    out = _solve_masks(masks, budget, "branch-and-bound", start)
+    out = _solve_masks(masks, budget, start)
     certify(verify_separating_allow_twins(g, out.witness))
     return out
 
@@ -189,7 +188,7 @@ def gamma_exact(g: Graph) -> SolveReport:
     """Minimum dominating set (closed neighborhoods as the hitting instance)."""
     start = time.perf_counter()
     masks = list(g.closed)
-    out = _solve_masks(masks, None, "branch-and-bound", start)
+    out = _solve_masks(masks, None, start)
     certify(verify_dominating(g, out.witness))
     return out
 
@@ -233,9 +232,7 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
 
     Requires a twin-free graph of order at most ``n_cap``.
     """
-    report = twin_classes(g)
-    if not report.is_twin_free:
-        raise NotTwinFree(report)
+    require_twin_free(g)
     if g.n > n_cap:
         raise CapExceeded(g.n, n_cap)
     n = g.n
@@ -253,13 +250,9 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     best = 0
     best_red = _parity_preseed_mask(g)
     for red, active in _sweep_order(flips, best_red):
-        if len(greedy_hitting_set(cols, active)) <= best:
-            continue
-        k = best
-        while hitting_set_within(verts, cols, active, k, stats) is None:
-            k += 1
-        if k > best:
-            best, best_red = k, red
+        if len(greedy_hitting_set(cols, active)) > best:
+            while hitting_set_within(verts, cols, active, best, stats) is None:
+                best, best_red = best + 1, red
 
     return MaxSepReport(best, Coloring(n, best_red), 1 << (n - 1))
 

@@ -34,6 +34,7 @@ from .errors import (
     UncoveredElement,
 )
 from .graphs import Coloring, Graph, twin_classes
+from .io import MAX_GRAPH_ORDER
 
 __all__ = [
     "GeneratorSpec",
@@ -504,28 +505,45 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _require_order(order: int, spec: GeneratorSpec) -> None:
+    if order > MAX_GRAPH_ORDER:
+        raise ValueError(f"spec {spec.render()!r} gives a graph order above {MAX_GRAPH_ORDER}")
+
+
 def build_from_spec(spec: GeneratorSpec) -> tuple[Graph, Coloring | None]:
-    """Instantiate a (graph, coloring) pair from a textual generator spec."""
+    """Instantiate a (graph, coloring) pair from a textual generator spec.
+
+    Raises ValueError, before building anything, when the family's order
+    (2^k, 2k, 5k + 1, the sum of the parts, or n) exceeds
+    ``io.MAX_GRAPH_ORDER``.
+    """
     fam = spec.family
     if fam == "power-set":
-        g, colorings = gen_power_set_graph(int(spec.get("k", "1")))
+        k = int(spec.get("k", "1"))
+        # Capping k keeps a huge k from building its huge 2^k.
+        _require_order(2 ** min(k, MAX_GRAPH_ORDER.bit_length()), spec)
+        g, colorings = gen_power_set_graph(k)
         return g, colorings[0]
     if fam == "half-complement":
-        return gen_half_graph_complement(int(spec.get("k", "1")))
+        k = int(spec.get("k", "1"))
+        _require_order(2 * k, spec)
+        return gen_half_graph_complement(k)
     if fam == "spider":
-        return gen_spider(int(spec.get("k", "1")))
+        k = int(spec.get("k", "1"))
+        _require_order(5 * k + 1, spec)
+        return gen_spider(k)
     if fam == "multipartite":
         parts = [int(x) for x in str(spec.get("parts", "")).split("+") if x]
+        _require_order(sum(parts), spec)
         strict = spec.get("strict", "0") == "1"
         return gen_complete_multipartite(parts, strict=strict)
     if fam == "random":
-        g = gen_random_twin_free(
-            int(spec.get("n", "8")),
-            float(spec.get("p", "0.4")),
-            int(spec.get("seed", "0")),
-        )
+        n = int(spec.get("n", "8"))
+        _require_order(n, spec)
+        g = gen_random_twin_free(n, float(spec.get("p", "0.4")), int(spec.get("seed", "0")))
         return g, None
     if fam == "tree":
-        g = gen_random_tree(int(spec.get("n", "8")), int(spec.get("seed", "0")))
-        return g, None
+        n = int(spec.get("n", "8"))
+        _require_order(n, spec)
+        return gen_random_tree(n, int(spec.get("seed", "0"))), None
     raise ValueError(f"unknown generator family {fam!r}")

@@ -9,6 +9,13 @@ return them as ascending tuples, the canonical serialization order.
 Every solver and construction in the package is certified against the
 verifiers here: a witness is only ever reported after it passes
 ``verify_rb_separating`` / ``verify_separating`` / ``verify_dominating``.
+
+The two input preconditions of the paper's problems are checked here and
+nowhere else: ``require_twin_free`` (all-pairs separation and the
+worst-coloring sweep are defined on twin-free graphs) raises NotTwinFree
+with the twin classes, and ``require_coloring`` (a red-blue instance colors
+every vertex) raises ValueError when the coloring's size is not the graph's
+order.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import CertificationError
+from .errors import CertificationError, NotTwinFree
 
 __all__ = [
     "Graph",
@@ -30,6 +37,8 @@ __all__ = [
     "closed_neighborhood",
     "code_of",
     "twin_classes",
+    "require_twin_free",
+    "require_coloring",
     "verify_rb_separating",
     "verify_separating",
     "verify_separating_allow_twins",
@@ -233,6 +242,19 @@ def twin_classes(g: Graph) -> TwinReport:
     return TwinReport(tuple(classes))
 
 
+def require_twin_free(g: Graph) -> None:
+    """Raise NotTwinFree, carrying the twin classes, unless g is twin-free."""
+    report = twin_classes(g)
+    if not report.is_twin_free:
+        raise NotTwinFree(report)
+
+
+def require_coloring(g: Graph, c: Coloring) -> None:
+    """Raise ValueError unless c colors exactly the vertices of g."""
+    if c.n != g.n:
+        raise ValueError("coloring size does not match graph order")
+
+
 def _set_mask(g: Graph, s: Iterable[int]) -> int:
     mask = mask_of(s)
     if mask & ~((1 << g.n) - 1 if g.n else 0):
@@ -247,8 +269,7 @@ def verify_rb_separating(g: Graph, c: Coloring, s: Iterable[int]) -> tuple[int, 
     violating pair (u, v) with u < v. A pair violates when its two vertices
     have different colors but N[u] & s == N[v] & s.
     """
-    if c.n != g.n:
-        raise ValueError("coloring size does not match graph order")
+    require_coloring(g, c)
     smask = _set_mask(g, s)
     closed = g.closed
     red = c.red_mask

@@ -94,9 +94,22 @@ def write_run_report(path: str | Path, report: RunReport) -> None:
 
 
 def load_run_report(path: str | Path) -> dict[str, Any]:
+    """Read a report and check the structure ``reverify_run_report`` reads.
+
+    Raises ValueError naming the first missing or mistyped field.
+    """
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("report must be a JSON object with field 'format'")
     if data.get("format") != FORMAT:
         raise ValueError(f"unsupported report format {data.get('format')!r}")
+    for key in ("inputs", "results"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValueError(f"report field {key!r} must be an object")
+    for name, meta in data.get("inputs", {}).items():
+        for key in ("path", "sha256"):
+            if not isinstance(meta, dict) or not isinstance(meta.get(key), str):
+                raise ValueError(f"report input {name!r} lacks string field {key!r}")
     return data
 
 
@@ -104,7 +117,9 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
     """Re-check every witness in a loaded report against its input files.
 
     Returns (claim, ok) pairs; digest mismatches fail the corresponding
-    claim rather than raising.
+    claim rather than raising, and so does every claim that cannot be
+    checked (a witness without a graph input, an rb witness without a
+    coloring input).
     """
     from .graphs import verify_dominating, verify_rb_separating, verify_separating
 
@@ -123,21 +138,24 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
         else None
     )
     results = data.get("results", {})
-    if graph is None:
-        return outcomes
 
     for key, record in results.items():
         if not isinstance(record, dict):
             continue
         if "worst_coloring" in record:
             outcomes.append(
-                (f"coloring-length:{key}", len(record["worst_coloring"]) == graph.n)
+                (
+                    f"coloring-length:{key}",
+                    graph is not None and len(record["worst_coloring"]) == graph.n,
+                )
             )
         witness = record.get("witness", record.get("solution"))
         if witness is None:
             continue
         kind = record.get("verifies", "rb" if coloring is not None else "all-pairs")
-        if kind == "rb" and coloring is not None:
+        if graph is None:
+            ok = False
+        elif kind == "rb" and coloring is not None:
             ok = verify_rb_separating(graph, coloring, witness) is None
         elif kind == "all-pairs":
             ok = verify_separating(graph, witness) is None

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotATree, NotTwinFree, WrongClassSize, XIsLeaf
+from .errors import NotATree, WrongClassSize, XIsLeaf
 from .graphs import (
     Coloring,
     Graph,
@@ -35,7 +35,7 @@ from .graphs import (
     bits_of,
     certify,
     is_tree,
-    twin_classes,
+    require_coloring,
     verify_rb_separating,
     verify_separating,
 )
@@ -96,7 +96,7 @@ def _require_tree(t: Graph) -> None:
 
 
 def tree_profile(t: Graph) -> TreeProfile:
-    """Classify leaves and support vertices; requires a tree."""
+    """Classify leaves and support vertices; raises NotATree on a non-tree."""
     _require_tree(t)
     leaves = tuple(v for v in range(t.n) if t.degree(v) == 1)
     counts: dict[int, int] = {}
@@ -119,8 +119,7 @@ def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
     _require_tree(t)
     if t.n < 3:
         raise WrongClassSize("tree must have at least 3 vertices")
-    if c.n != t.n:
-        raise ValueError("coloring size does not match graph order")
+    require_coloring(t, c)
     if c.red_count == 1:
         v = c.red_vertices()[0]
     elif c.blue_count == 1:
@@ -168,12 +167,11 @@ def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     single-leaf supports' leaves onto internal neighbors. Requires a tree
     with n >= 5 and a non-leaf x.
     """
-    _require_tree(t)
+    profile = tree_profile(t)
     if t.n < 5:
         raise NotATree("parity sets need a tree on at least 5 vertices")
     if t.degree(x) <= 1:
         raise XIsLeaf(f"vertex {x} is a leaf")
-    profile = tree_profile(t)
     reached, odd = bfs_parity(t, x)
     leaves = set(profile.leaves)
     c1_base = set(bits_of(odd)) | leaves
@@ -237,12 +235,10 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
     the support stays distinguishable. Finally single-leaf shifts run as in
     the parity sets.
     """
-    _require_tree(t)
+    profile = tree_profile(t)
     if t.n < 5:
         raise NotATree("construction needs a tree on at least 5 vertices")
-    if c.n != t.n:
-        raise ValueError("coloring size does not match graph order")
-    profile = tree_profile(t)
+    require_coloring(t, c)
     leaf_set = set(profile.leaves)
     if profile.leaf_count == t.n - 1:
         return _star_rb_set(t, c, profile)
@@ -318,16 +314,12 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
 def tree_all_pairs_construct(t: Graph) -> tuple[int, ...]:
     """All vertices except one leaf per support: size n - s, all-pairs.
 
-    Requires a tree on n >= 5 vertices (trees on >= 3 vertices are
-    twin-free; the check is kept for symmetry with the other solvers).
+    Requires a tree on n >= 5 vertices; trees on 3 or more vertices have
+    no twins, so no twin check is needed.
     """
-    _require_tree(t)
+    profile = tree_profile(t)
     if t.n < 5:
         raise NotATree("construction needs a tree on at least 5 vertices")
-    report = twin_classes(t)
-    if not report.is_twin_free:
-        raise NotTwinFree(report)
-    profile = tree_profile(t)
     leaf_set = set(profile.leaves)
     removed = set()
     for u in profile.supports:

@@ -11,6 +11,7 @@ from conftest import (
     path_graph,
     reference_greedy,
 )
+import rbsep.exact
 from rbsep.approx import (
     SetSystem,
     bounded_degree_construct,
@@ -159,6 +160,18 @@ def test_sep_all_pairs_greedy():
     assert len(rep6.solution) >= 5  # maxsep lower bound for this family
     with pytest.raises(NotTwinFree):
         sep_all_pairs_greedy(Graph.from_edges(2, [(0, 1)]))
+
+
+@pytest.mark.parametrize("colors", ["RBRB", "RBRBRB"], ids=["short", "long"])
+def test_red_blue_entry_points_check_coloring_length_first(monkeypatch, colors):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before the coloring was checked")
+
+    monkeypatch.setattr(rbsep.exact, "minimum_hitting_set", no_search)
+    g, c = path_graph(5), Coloring.from_string(colors)
+    for solve in (sep_rb_exact, sep_rb_greedy, reduce_rb_to_set_cover, xp_exact_small_class):
+        with pytest.raises(ValueError, match="coloring size does not match graph order"):
+            solve(g, c)
 
 
 def test_all_pairs_greedy_restricted_to_colorings():

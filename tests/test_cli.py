@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rbsep.cli import main
 from rbsep.graphs import Coloring
 from rbsep.io import MAX_GRAPH_ORDER, read_coloring, read_graph, write_coloring, write_graph
@@ -142,6 +144,53 @@ def test_method_precondition_failure_names_flag(tmp_path):
     )
     assert res.returncode == 2
     assert "triangle_free" in res.stderr
+
+
+def test_verify_without_inputs_exits_input(capsys):
+    assert main(["verify"]) == 2
+    err = capsys.readouterr().err
+    assert "--report" in err and "--graph" in err and "--set" in err
+
+
+def test_verify_rb_without_coloring_exits_input(tmp_path, capsys):
+    gpath, spath = str(tmp_path / "g.txt"), str(tmp_path / "s.txt")
+    write_graph(gpath, path_graph(3))
+    (tmp_path / "s.txt").write_text("1\n")
+    assert main(["verify", "--graph", gpath, "--set", spath, "--kind", "rb"]) == 2
+    assert "--coloring" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([1], "'format'"),
+        ({"format": "rbsep-report/1", "inputs": {"graph": {}}}, "'path'"),
+        ({"format": "rbsep-report/1", "inputs": {"graph": {"path": "g.txt"}}}, "'sha256'"),
+        ({"format": "rbsep-report/1", "inputs": []}, "'inputs'"),
+        ({"format": "rbsep-report/1", "results": []}, "'results'"),
+    ],
+)
+def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--report", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_verify_report_fails_a_witness_without_a_graph(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(
+        json.dumps({"format": "rbsep-report/1", "inputs": {}, "results": {"exact": {"witness": []}}})
+    )
+    assert main(["verify", "--report", str(path)]) == 1
+    assert "recheck witness:exact FAIL" in capsys.readouterr().out
+
+
+def test_generate_rejects_oversized_order(tmp_path, capsys):
+    prefix = str(tmp_path / "inst")
+    assert main(["generate", "--spec", "tree:n=10001", "--out-prefix", prefix]) == 2
+    assert "graph order above" in capsys.readouterr().err
+    assert not (tmp_path / "inst.graph.txt").exists()
 
 
 def test_experiment_deterministic(tmp_path):

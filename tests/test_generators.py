@@ -31,7 +31,7 @@ from rbsep.graphs import (
     twin_classes,
     verify_separating,
 )
-from rbsep.io import graph_to_text
+from rbsep.io import MAX_GRAPH_ORDER, graph_to_text
 
 
 def test_power_set_graph_structure():
@@ -232,6 +232,14 @@ def test_generator_spec_round_trip():
     assert g.n == 9 and c is None
     with pytest.raises(ValueError):
         build_from_spec(GeneratorSpec.parse("nonsense:k=1"))
+
+
+def test_build_from_spec_bounds_the_order():
+    g, _ = build_from_spec(GeneratorSpec.parse("tree:n=10000"))
+    assert g.n == MAX_GRAPH_ORDER
+    for text in ("tree:n=10001", "spider:k=2000"):
+        with pytest.raises(ValueError, match="graph order above"):
+            build_from_spec(GeneratorSpec.parse(text))
 
 
 def test_generators_byte_identical_across_runs():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import path_graph, star_graph
+from conftest import cycle_graph, path_graph, star_graph
 from rbsep.errors import NotATree, WrongClassSize, XIsLeaf
 from rbsep.exact import maxsep_exact
 from rbsep.generators import gen_random_tree, gen_spider
@@ -39,6 +39,22 @@ def test_tree_profile_rejects_non_trees():
         tree_profile(Graph.from_edges(3, [(0, 1)]))  # disconnected
     with pytest.raises(NotATree):
         tree_profile(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))  # cycle
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda t: parity_sets(t, 0),
+        lambda t: tree_rb_construct(t, Coloring(t.n, 1)),
+        tree_all_pairs_construct,
+    ],
+    ids=["parity_sets", "tree_rb_construct", "tree_all_pairs_construct"],
+)
+def test_constructions_reject_non_trees(construct):
+    with pytest.raises(NotATree):
+        construct(cycle_graph(6))
+    with pytest.raises(NotATree):
+        construct(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))  # forest
 
 
 def test_single_red_sep_examples():
