@@ -1,4 +1,4 @@
-"""Polynomial-time routes: set-cover greedy, constructions, XP enumeration.
+"""Polynomial-time routes: set-cover greedy, constructions, XP search.
 
 The greedy route treats red-blue separation as set cover (elements are the
 red-blue pairs, each vertex covers the ``split_pairs`` it separates) and
@@ -11,25 +11,24 @@ and via sep(G) <= ceil(log2 n) * maxsep_RB(G) also maxsep within O(ln^2 n).
 
 The constructions give cardinality guarantees (3 or Delta times the smaller
 color class) on triangle-free and bounded-degree graphs; those bounds in
-turn justify the exhaustive bounded-subset search in
-``xp_exact_small_class``.
+turn are the search budget of ``xp_exact_small_class``, which runs the
+exact kernel through ``sep_rb_exact``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
-    BudgetExceeded,
+    CertificationError,
     FormatError,
+    Infeasible,
     NotTriangleFree,
     Uncoverable,
     Unseparable,
 )
-from .exact import SolveReport, rb_difference_masks, split_pairs
+from .exact import SolveReport, sep_rb_exact, split_pairs
 from .graphs import (
     Coloring,
     Graph,
@@ -132,6 +131,18 @@ def set_system_from_text(text: str) -> SetSystem:
     return SetSystem(universe, tuple(range(universe)), tuple(sets))
 
 
+def _require_rb_separable(g: Graph, c: Coloring) -> None:
+    # Coloring order first, then Unseparable on the first red-blue twin
+    # pair in red-major order (red ascending, then blue ascending).
+    require_coloring(g, c)
+    closed = g.closed
+    blues = c.blue_vertices()
+    for r in c.red_vertices():
+        for b in blues:
+            if closed[r] == closed[b]:
+                raise Unseparable(tuple(sorted((r, b))))
+
+
 def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     """Red-blue separation as set cover.
 
@@ -141,12 +152,11 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     set label) to red-blue separating sets of size k. Raises Unseparable on
     a pair covered by no set, i.e. a red-blue twin pair.
     """
-    require_coloring(g, c)
+    _require_rb_separable(g, c)
     reds = c.red_vertices()
     blues = c.blue_vertices()
     pairs = [(r, b) for r in reds for b in blues]
     closed = g.closed
-    covered = [False] * len(pairs)
     sets = []
     for v in range(g.n):
         bit = 1 << v
@@ -154,11 +164,7 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
         for i, (r, b) in enumerate(pairs):
             if bool(closed[r] & bit) != bool(closed[b] & bit):
                 elems.append(i)
-                covered[i] = True
         sets.append((v, tuple(elems)))
-    for i, ok in enumerate(covered):
-        if not ok:
-            raise Unseparable(tuple(sorted(pairs[i])))
     return SetSystem(len(pairs), tuple(pairs), tuple(sets))
 
 
@@ -199,14 +205,8 @@ def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
     Raises Unseparable on the first red-blue twin pair in the element order
     of ``reduce_rb_to_set_cover`` (red ascending, then blue ascending).
     """
-    require_coloring(g, c)
-    closed = g.closed
-    blues = c.blue_vertices()
-    for r in c.red_vertices():
-        for b in blues:
-            if closed[r] == closed[b]:
-                raise Unseparable(tuple(sorted((r, b))))
-    cols = [split_pairs(nv, g.n) for nv in closed]
+    _require_rb_separable(g, c)
+    cols = [split_pairs(nv, g.n) for nv in g.closed]
     cover = _greedy_cover(cols, split_pairs(c.red_mask, g.n))
     certify(verify_rb_separating(g, c, cover.solution))
     guarantee = max(1.0, 2 * math.log(g.n)) if g.n >= 2 else 1.0
@@ -345,20 +345,17 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
     return ApproxReport(solution, float(bound), 0 if not small else 1)
 
 
-def xp_exact_small_class(
-    g: Graph, c: Coloring, node_budget: int = 5_000_000
-) -> SolveReport:
-    """Exact optimum by enumerating all subsets up to the constructive bound.
+def xp_exact_small_class(g: Graph, c: Coloring) -> SolveReport:
+    """Exact optimum searched only up to the constructive bound.
 
     The bound is 3 * min class size on triangle-free graphs and
     Delta * min class size otherwise (Delta >= 3); the constructions above
-    guarantee a solution of that size exists, so ascending-size
-    lexicographic enumeration returns the optimum. Raises BudgetExceeded
-    when the enumeration would scan more than ``node_budget`` subsets.
+    guarantee a solution of that size exists, so ``sep_rb_exact`` under that
+    budget returns the optimum after O(n^bound) nodes. Raises
+    CertificationError if no solution fits the bound.
     """
     require_twin_free(g)
     require_coloring(g, c)
-    start = time.perf_counter()
     small, _ = _oriented(c)
     if is_triangle_free(g):
         bound = 3 * len(small)
@@ -367,28 +364,7 @@ def xp_exact_small_class(
         if delta < 3:
             raise NotTriangleFree("degree <= 2 graph with a triangle is a disjoint K3")
         bound = delta * len(small)
-    bound = min(bound, g.n)
-
-    needed = sum(math.comb(g.n, k) for k in range(bound + 1))
-    if needed > node_budget:
-        raise BudgetExceeded(bound, needed, node_budget)
-
-    masks = rb_difference_masks(g, c)
-    distinct = sorted(set(masks))
-    nodes = 0
-    for size in range(bound + 1):
-        for subset in combinations(range(g.n), size):
-            nodes += 1
-            smask = 0
-            for v in subset:
-                smask |= 1 << v
-            if all(d & smask for d in distinct):
-                certify(verify_rb_separating(g, c, subset))
-                return SolveReport(
-                    optimum=size,
-                    witness=subset,
-                    method="exhaustive",
-                    nodes_explored=nodes,
-                    elapsed_ms=(time.perf_counter() - start) * 1000.0,
-                )
-    raise AssertionError("constructive bound failed to contain a solution")
+    try:
+        return sep_rb_exact(g, c, budget=bound)
+    except Infeasible:
+        raise CertificationError(f"no solution within the constructive bound {bound}") from None

@@ -85,7 +85,7 @@ def check_bounds(
     add("maxsep_le_sep", maxsep, sep)
     add("sep_le_n_minus_1", sep, n - 1 if n >= 1 else None)
     if maxsep is not None:
-        add("sep_le_ceil_log2_n_times_maxsep", sep, ceil_log2(n) * maxsep if n >= 2 else None)
+        add("sep_le_ceil_log2_n_times_maxsep", sep, ceil_log2(n) * maxsep)
         add(
             "sep_le_ceil_log2_deg1_times_maxsep_plus_gamma",
             sep,

@@ -3,7 +3,7 @@
 Subcommands: solve, maxsep, bounds, generate, reduce, verify, experiment.
 Exit codes: 0 success; 1 infeasible/unseparable/invalid (a mathematical
 answer, not a failure); 2 malformed input or violated precondition;
-3 cap or budget exceeded.
+3 cap exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import approx, bounds, exact, generators, io, reports
 from .errors import (
-    BudgetExceeded,
     CapExceeded,
     FormatError,
     Infeasible,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .graphs import (
     Coloring,
-    graph_profile,
     verify_dominating,
     verify_rb_separating,
     verify_separating,
@@ -54,13 +52,11 @@ def cmd_solve(args) -> int:
         method = "exact" if g.n <= args.sep_cap else "greedy"
         _emit(f"method {method} (auto)")
 
-    if method == "exact":
-        res = exact.sep_rb_exact(g, c, budget=args.budget)
-        record = reports.solve_report_to_dict(res)
-        _emit(f"optimum {res.optimum}")
-        _emit("witness " + " ".join(map(str, res.witness)))
-    elif method == "xp":
-        res = approx.xp_exact_small_class(g, c)
+    if method in ("exact", "xp"):
+        if method == "exact":
+            res = exact.sep_rb_exact(g, c, budget=args.budget)
+        else:
+            res = approx.xp_exact_small_class(g, c)
         record = reports.solve_report_to_dict(res)
         _emit(f"optimum {res.optimum}")
         _emit("witness " + " ".join(map(str, res.witness)))
@@ -238,8 +234,6 @@ def _experiment_families(writer):
 
 
 def _experiment_ratio(writer, seed: int, sizes: list[int]) -> None:
-    import math
-
     writer.writerow(
         [
             "spec", "n", "m", "max_degree", "gamma", "sep", "maxsep",
@@ -249,35 +243,29 @@ def _experiment_ratio(writer, seed: int, sizes: list[int]) -> None:
     )
     import random as _random
 
+    checks = (
+        "floor_log2_le_maxsep",
+        "sep_le_ceil_log2_n_times_maxsep",
+        "sep_le_ceil_log2_deg1_times_maxsep_plus_gamma",
+    )
     rng = _random.Random(seed)
     for n in sizes:
-        for rep in range(3):
+        for _rep in range(3):
             sub = rng.randrange(1 << 30)
             g = generators.gen_random_twin_free(n, 0.4, sub)
             spec = f"random:n={n};p=0.4;seed={sub}"
-            prof = graph_profile(g)
-            gamma = exact.gamma_exact(g).optimum
-            sep = exact.sep_exact(g).optimum
-            maxsep = exact.maxsep_exact(g).value if n <= exact.MAXSEP_DEFAULT_CAP else None
-            lb = bounds.floor_log2(n)
-            lb_ok = "" if maxsep is None or n in bounds.LOG_LB_EXCLUDED else int(maxsep >= lb)
-            r1 = "" if maxsep is None else int(sep <= bounds.ceil_log2(n) * maxsep)
-            r2 = (
-                ""
-                if maxsep is None
-                else int(sep <= bounds.ceil_log2(prof.max_degree + 1) * maxsep + gamma)
-            )
-            cmask = rng.randrange(1 << n)
-            c = Coloring(n, cmask)
+            res = bounds.check_bounds(g)
+            holds = {b.name: "" if b.holds is None else int(b.holds) for b in res.checks}
+            c = Coloring(n, rng.randrange(1 << n))
             srb = exact.sep_rb_exact(g, c).optimum
-            greedy = len(approx.sep_rb_greedy(g, c).solution)
-            factor = max(1.0, 2 * math.log(n)) if n >= 2 else 1.0
-            gr_ok = int(greedy <= factor * srb) if srb else int(greedy == 0)
+            greedy = approx.sep_rb_greedy(g, c)
+            size = len(greedy.solution)
+            gr_ok = int(size <= greedy.guarantee * srb) if srb else int(size == 0)
             writer.writerow(
                 [
-                    spec, n, prof.m, prof.max_degree, gamma, sep,
-                    "" if maxsep is None else maxsep, lb, lb_ok, r1, r2,
-                    c.to_string(), srb, greedy, gr_ok,
+                    spec, n, g.m, res.max_degree, res.gamma, res.sep, res.maxsep,
+                    bounds.floor_log2(n), *(holds[name] for name in checks),
+                    c.to_string(), srb, size, gr_ok,
                 ]
             )
 
@@ -413,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except (Unseparable, Infeasible) as exc:
         _emit(f"answer no: {exc}")
         return EXIT_ANSWER_NO
-    except (CapExceeded, BudgetExceeded) as exc:
+    except CapExceeded as exc:
         _emit(f"cap exceeded: {exc}")
         return EXIT_CAP
     except (FormatError, RBSepError, ValueError, OSError, MemoryError) as exc:

@@ -57,18 +57,6 @@ class CapExceeded(RBSepError):
         super().__init__(f"graph order {n} exceeds cap {cap}")
 
 
-class BudgetExceeded(RBSepError):
-    """Subset enumeration would exceed the configured node budget."""
-
-    def __init__(self, bound: int, needed: int, budget: int):
-        self.bound = bound
-        self.needed = needed
-        self.budget = budget
-        super().__init__(
-            f"enumerating subsets of size <= {bound} needs {needed} nodes, budget is {budget}"
-        )
-
-
 class NotTriangleFree(RBSepError):
     """A triangle-free graph was required."""
 
@@ -95,14 +83,6 @@ class Uncoverable(RBSepError):
     def __init__(self, element):
         self.element = element
         super().__init__(f"element {element} is in no set")
-
-
-class UncoveredElement(RBSepError):
-    """A set-cover universe element is missing from every input set."""
-
-    def __init__(self, element):
-        self.element = element
-        super().__init__(f"universe element {element} is covered by no set")
 
 
 class BadPivot(RBSepError):

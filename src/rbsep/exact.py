@@ -241,10 +241,9 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
 
     closed = g.closed
     pairs = sorted(combinations(range(n), 2), key=lambda p: by_size(closed[p[0]] ^ closed[p[1]]))
-    diffs = [closed[u] ^ closed[w] for u, w in pairs]
-    verts = [bits_of(d) for d in diffs]
-    cols = columns(diffs, n)
-    flips = columns([1 << u | 1 << w for u, w in pairs], n)
+    verts = [bits_of(closed[u] ^ closed[w]) for u, w in pairs]
+    cols = columns(verts, n)
+    flips = columns(pairs, n)
 
     stats = [0]
     best = 0

@@ -31,7 +31,7 @@ from .errors import (
     InvalidParts,
     LiteralCapExceeded,
     TwinFreeUnreachable,
-    UncoveredElement,
+    Uncoverable,
 )
 from .graphs import Coloring, Graph, twin_classes
 from .io import MAX_GRAPH_ORDER
@@ -53,6 +53,9 @@ __all__ = [
     "gen_random_tree",
     "build_from_spec",
 ]
+
+# Largest edge count ``build_from_spec`` builds, worked out from the spec.
+MAX_SPEC_EDGES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ def gen_split_from_set_cover(
     Element vertices form a clique together with a red apex; set vertices
     plus two isolated blue vertices form an independent set; a set vertex
     is adjacent to its member elements. Every vertex except the apex is
-    blue. Raises UncoveredElement when some element is in no set.
+    blue. Raises Uncoverable when some element is in no set.
     """
     if universe_size <= 0:
         raise InvalidParts("universe must be nonempty")
@@ -247,7 +250,7 @@ def gen_split_from_set_cover(
         seen.update(s)
     for e in range(universe_size):
         if e not in seen:
-            raise UncoveredElement(e)
+            raise Uncoverable(e)
     apex = universe_size
     set_base = universe_size + 1
     n = universe_size + 1 + len(sets) + 2
@@ -505,9 +508,11 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _require_order(order: int, spec: GeneratorSpec) -> None:
+def _require_size(spec: GeneratorSpec, order: int, edges: int = 0) -> None:
     if order > MAX_GRAPH_ORDER:
         raise ValueError(f"spec {spec.render()!r} gives a graph order above {MAX_GRAPH_ORDER}")
+    if edges > MAX_SPEC_EDGES:
+        raise ValueError(f"spec {spec.render()!r} gives more than {MAX_SPEC_EDGES} edges")
 
 
 def build_from_spec(spec: GeneratorSpec) -> tuple[Graph, Coloring | None]:
@@ -515,35 +520,40 @@ def build_from_spec(spec: GeneratorSpec) -> tuple[Graph, Coloring | None]:
 
     Raises ValueError, before building anything, when the family's order
     (2^k, 2k, 5k + 1, the sum of the parts, or n) exceeds
-    ``io.MAX_GRAPH_ORDER``.
+    ``io.MAX_GRAPH_ORDER``, or when its edge count worked out from the
+    parameters exceeds ``MAX_SPEC_EDGES``: n(n - 1)/2 for power-set,
+    half-complement and random (which draws every pair), (n^2 - sum p^2)/2
+    for multipartite; spiders and trees have n - 1 edges.
     """
     fam = spec.family
     if fam == "power-set":
         k = int(spec.get("k", "1"))
         # Capping k keeps a huge k from building its huge 2^k.
-        _require_order(2 ** min(k, MAX_GRAPH_ORDER.bit_length()), spec)
+        n = 2 ** min(k, MAX_GRAPH_ORDER.bit_length())
+        _require_size(spec, n, n * (n - 1) // 2)
         g, colorings = gen_power_set_graph(k)
         return g, colorings[0]
     if fam == "half-complement":
         k = int(spec.get("k", "1"))
-        _require_order(2 * k, spec)
+        _require_size(spec, 2 * k, k * (2 * k - 1))
         return gen_half_graph_complement(k)
     if fam == "spider":
         k = int(spec.get("k", "1"))
-        _require_order(5 * k + 1, spec)
+        _require_size(spec, 5 * k + 1)
         return gen_spider(k)
     if fam == "multipartite":
         parts = [int(x) for x in str(spec.get("parts", "")).split("+") if x]
-        _require_order(sum(parts), spec)
+        n = sum(parts)
+        _require_size(spec, n, (n * n - sum(p * p for p in parts)) // 2)
         strict = spec.get("strict", "0") == "1"
         return gen_complete_multipartite(parts, strict=strict)
     if fam == "random":
         n = int(spec.get("n", "8"))
-        _require_order(n, spec)
+        _require_size(spec, n, n * (n - 1) // 2)
         g = gen_random_twin_free(n, float(spec.get("p", "0.4")), int(spec.get("seed", "0")))
         return g, None
     if fam == "tree":
         n = int(spec.get("n", "8"))
-        _require_order(n, spec)
+        _require_size(spec, n)
         return gen_random_tree(n, int(spec.get("seed", "0"))), None
     raise ValueError(f"unknown generator family {fam!r}")

@@ -5,14 +5,14 @@ to the same problem: given a list of nonempty vertex masks, find a smallest
 vertex set intersecting every mask. The solvers wrap this kernel with their
 own mask derivations.
 
-Both searches read the transposed instance: ``columns`` gives one bitset per
-vertex, bit i of ``cols[v]`` set iff v is in ``masks[i]``, so hitting every
-mask v meets turns a bitset ``rest`` of mask ids into ``rest & ~cols[v]``.
-The exact search also reads ``verts[i] = bits_of(masks[i])``, built once per
-instance. It is iterative deepening (k = 0, 1, 2, ...) around a
-depth-limited branch and bound: branch on the vertices of the mask with the
-lowest id in ``rest``, prune with a greedy packing of pairwise-disjoint masks
-taken in id order. With one vertex left to pick the search decides without
+An instance is built once: ``verts[i] = bits_of(masks[i])``, and its
+transpose ``columns(verts, n)``, one bitset per vertex with bit i of
+``cols[v]`` set iff v is in ``masks[i]``. Both searches read the columns, so
+hitting every mask v meets turns a bitset ``rest`` of mask ids into
+``rest & ~cols[v]``; the exact search also reads ``verts``. It is
+iterative deepening (k = 0, 1, 2, ...) around a depth-limited branch and
+bound: branch on the vertices of the mask with the lowest id in ``rest``,
+prune with a greedy packing of pairwise-disjoint masks taken in id order. With one vertex left to pick the search decides without
 recursing: it returns the first pivot vertex whose column covers ``rest``.
 Ids numbered in ``by_size`` order make the pivot a smallest unhit mask, with
 ties toward the lowest vertex index, so results are deterministic.
@@ -31,12 +31,8 @@ def by_size(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
 
 
-def columns(masks: list[int], n: int) -> list[int]:
-    """Transpose ``masks``: bit i of ``cols[v]`` is set iff v is in ``masks[i]``."""
-    return _columns([bits_of(m) for m in masks], n)
-
-
-def _columns(verts: list[tuple[int, ...]], n: int) -> list[int]:
+def columns(verts: list[tuple[int, ...]], n: int) -> list[int]:
+    """Transpose ``verts``: bit i of ``cols[v]`` is set iff v is in ``verts[i]``."""
     cols = [0] * n
     for i, vs in enumerate(verts):
         for v in vs:
@@ -103,7 +99,7 @@ def minimum_hitting_set(
     if distinct and distinct[0] == 0:
         raise ValueError("empty mask cannot be hit")
     verts = [bits_of(m) for m in distinct]
-    cols = _columns(verts, max(distinct, default=0).bit_length())
+    cols = columns(verts, max(distinct, default=0).bit_length())
     rest = (1 << len(distinct)) - 1
     hi = len(distinct) if budget is None else min(budget, len(distinct))
     for k in range(hi + 1):

@@ -110,6 +110,15 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
         for key in ("path", "sha256"):
             if not isinstance(meta, dict) or not isinstance(meta.get(key), str):
                 raise ValueError(f"report input {name!r} lacks string field {key!r}")
+    for name, record in data.get("results", {}).items():
+        if not isinstance(record, dict):
+            continue
+        for key in ("witness", "solution"):
+            value = record.get(key, [])
+            if not isinstance(value, list) or any(type(v) is not int for v in value):
+                raise ValueError(f"report result {name!r} field {key!r} must be a list of integers")
+        if not isinstance(record.get("worst_coloring", ""), str):
+            raise ValueError(f"report result {name!r} field 'worst_coloring' must be a string")
     return data
 
 

@@ -27,7 +27,7 @@ from rbsep.approx import (
     xp_exact_small_class,
 )
 from rbsep.bounds import LOG_LB_EXCLUDED, ceil_log2, floor_log2
-from rbsep.errors import BudgetExceeded, NotTriangleFree, TwinFreeUnreachable
+from rbsep.errors import NotTriangleFree, TwinFreeUnreachable
 from rbsep.exact import (
     gamma_exact,
     maxsep_exact,
@@ -246,8 +246,8 @@ def test_acceptance_constructions_and_xp(construction_batch):
     ran = 0
     for g, c in triangle_free + bounded:
         try:
-            xp = xp_exact_small_class(g, c, node_budget=300_000)
-        except (BudgetExceeded, NotTriangleFree):
+            xp = xp_exact_small_class(g, c)
+        except NotTriangleFree:
             continue
         ran += 1
         if xp.optimum != sep_rb_exact(g, c).optimum:

@@ -25,7 +25,6 @@ from rbsep.approx import (
     xp_exact_small_class,
 )
 from rbsep.errors import (
-    BudgetExceeded,
     CertificationError,
     NotTriangleFree,
     NotTwinFree,
@@ -276,20 +275,38 @@ def test_xp_matches_exact():
         reds = rng.sample(range(n), rng.randint(0, 2))
         c = Coloring.from_red(n, reds)
         try:
-            rep = xp_exact_small_class(g, c, node_budget=500_000)
-        except (BudgetExceeded, NotTriangleFree):
+            rep = xp_exact_small_class(g, c)
+        except NotTriangleFree:
             continue
         assert rep.optimum == sep_rb_exact(g, c).optimum
-        assert rep.method == "exhaustive"
+        assert rep.method == "branch-and-bound"
         done += 1
 
 
 def test_xp_budget_and_min_class_zero():
     g = gen_random_twin_free(9, 0.4, 2)
     assert xp_exact_small_class(g, Coloring(9, 0)).optimum == 0
-    busy = Coloring(9, 0b10101)
-    with pytest.raises(BudgetExceeded):
-        xp_exact_small_class(g, busy, node_budget=10)
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, reds", [(23, 0.15, 495026147, (20, 21)), (24, 0.3, 351385392, (14, 20))]
+)
+def test_xp_solves_sparse_instances_past_the_old_subset_count(n, p, seed, reds):
+    # Counting every subset up to the bound, these took more than 5,000,000
+    # nodes; the kernel under the same bound needs a few dozen.
+    g = gen_random_twin_free(n, p, seed, max_tries=30)
+    c = Coloring.from_red(n, reds)
+    rep = xp_exact_small_class(g, c)
+    exact = sep_rb_exact(g, c)
+    assert (rep.optimum, rep.witness) == (exact.optimum, exact.witness)
+
+
+def test_xp_failed_bound_is_a_defect(monkeypatch):
+    # No solution within the constructive bound contradicts the paper's
+    # constructions, so it is not a "no" answer.
+    monkeypatch.setattr("rbsep.exact.minimum_hitting_set", lambda masks, budget, stats: None)
+    with pytest.raises(CertificationError):
+        xp_exact_small_class(path_graph(6), Coloring.from_string("RBBBBB"))
 
 
 def test_set_system_text_round_trip():
@@ -304,6 +321,6 @@ def test_set_system_text_round_trip():
 def test_xp_witness_is_certified(monkeypatch):
     # With no masks every subset looks separating; the verifier must catch
     # the empty witness.
-    monkeypatch.setattr("rbsep.approx.rb_difference_masks", lambda g, c: [])
+    monkeypatch.setattr("rbsep.exact.rb_difference_masks", lambda g, c: [])
     with pytest.raises(CertificationError):
         xp_exact_small_class(path_graph(6), Coloring.from_string("RBBBBB"))

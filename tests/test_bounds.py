@@ -45,6 +45,14 @@ def test_check_bounds_skips_over_cap():
     assert rep.sep is not None  # sep cap is 64
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_check_bounds_log_ratio_holds_at_orders_0_and_1(n):
+    # Both sides are 0: sep = 0 and ceil(log2 n) = 0.
+    named = {c.name: c for c in check_bounds(Graph.from_edges(n, [])).checks}
+    check = named["sep_le_ceil_log2_n_times_maxsep"]
+    assert (check.lhs, check.rhs, check.holds) == (0, 0, True)
+
+
 def test_check_bounds_requires_twin_free():
     with pytest.raises(NotTwinFree):
         check_bounds(Graph.from_edges(2, [(0, 1)]))

@@ -177,6 +177,28 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"witness": ["a"], "verifies": "all-pairs"}, "'witness'"),
+        ({"solution": "0 1"}, "'solution'"),
+        ({"value": 2, "worst_coloring": 5}, "'worst_coloring'"),
+    ],
+)
+def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, record, field):
+    gpath = tmp_path / "g.txt"
+    write_graph(gpath, path_graph(4))
+    solve_out = tmp_path / "solved.json"
+    assert main(["maxsep", "--graph", str(gpath), "--out", str(solve_out)]) == 0
+    data = json.loads(solve_out.read_text())
+    data["results"] = {"x": record}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'x'" in err and field in err
+
+
 def test_verify_report_fails_a_witness_without_a_graph(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(
@@ -211,6 +233,27 @@ def test_experiment_families_reproduces_closed_forms(tmp_path):
     header, body = rows[0].split(","), rows[1:]
     match_col = header.index("match")
     assert body and all(row.split(",")[match_col] == "1" for row in body)
+
+
+RATIO_SEED_1 = """\
+spec,n,m,max_degree,gamma,sep,maxsep,floor_log2_n,lb_ok,ratio_log_ok,ratio_degree_ok,coloring,sep_rb,greedy_size,greedy_ratio_ok
+random:n=1;p=0.4;seed=288545018,1,0,0,1,0,0,0,1,1,1,B,0,0,1
+random:n=1;p=0.4;seed=547756574,1,0,0,1,0,0,0,1,1,1,B,0,0,1
+random:n=1;p=0.4;seed=1063938749,1,0,0,1,0,0,0,1,1,1,R,0,0,1
+random:n=5;p=0.4;seed=1014138928,5,4,3,2,3,3,2,1,1,1,BBBRR,3,3,1
+random:n=5;p=0.4;seed=450874518,5,6,4,1,3,3,2,1,1,1,BRRBB,1,1,1
+random:n=5;p=0.4;seed=1047664193,5,5,3,2,3,3,2,1,1,1,RBBBB,2,2,1
+random:n=6;p=0.4;seed=837108038,6,9,4,2,3,3,2,1,1,1,RRRBRR,2,2,1
+random:n=6;p=0.4;seed=4522707,6,4,3,3,3,3,2,1,1,1,RBBRRR,3,3,1
+random:n=6;p=0.4;seed=571940513,6,5,3,3,3,3,2,1,1,1,RBRRRB,3,3,1
+"""
+
+
+def test_experiment_ratio_is_pinned(tmp_path):
+    out = tmp_path / "ratio.csv"
+    argv = ["experiment", "--suite", "ratio", "--seed", "1", "--sizes", "1,5,6", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == RATIO_SEED_1
 
 
 def test_experiment_ratio_columns_hold(tmp_path):

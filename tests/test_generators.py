@@ -8,10 +8,11 @@ from rbsep.errors import (
     InvalidParts,
     LiteralCapExceeded,
     TwinFreeUnreachable,
-    UncoveredElement,
+    Uncoverable,
 )
 from rbsep.exact import gamma_exact, sep_rb_exact
 from rbsep.generators import (
+    MAX_SPEC_EDGES,
     GeneratorSpec,
     SatInstance,
     build_from_spec,
@@ -113,7 +114,7 @@ def test_split_reduction_structure_and_values():
 
 
 def test_split_reduction_rejects_uncovered():
-    with pytest.raises(UncoveredElement):
+    with pytest.raises(Uncoverable):
         gen_split_from_set_cover(2, [[0]])
 
 
@@ -239,6 +240,13 @@ def test_build_from_spec_bounds_the_order():
     assert g.n == MAX_GRAPH_ORDER
     for text in ("tree:n=10001", "spider:k=2000"):
         with pytest.raises(ValueError, match="graph order above"):
+            build_from_spec(GeneratorSpec.parse(text))
+    g, _ = build_from_spec(GeneratorSpec.parse("power-set:k=10"))
+    assert g.m == 517_688
+    g, _ = build_from_spec(GeneratorSpec.parse("random:n=1000"))
+    assert g.n == 1000
+    for text in ("power-set:k=11", "multipartite:parts=5000+5000", "half-complement:k=5000"):
+        with pytest.raises(ValueError, match=f"more than {MAX_SPEC_EDGES} edges"):
             build_from_spec(GeneratorSpec.parse(text))
 
 

@@ -22,7 +22,7 @@ def random_family(rng: random.Random) -> tuple[list[int], int]:
 
 def test_columns_transpose_the_masks():
     masks = [0b011, 0b110, 0b101, 0b110]
-    assert columns(masks, 4) == [0b0101, 0b1011, 0b1110, 0]
+    assert columns([bits_of(m) for m in masks], 4) == [0b0101, 0b1011, 0b1110, 0]
     assert sorted(masks, key=by_size) == [0b011, 0b101, 0b110, 0b110]
 
 
@@ -30,7 +30,7 @@ def test_hitting_set_within_decides_as_the_oracle():
     rng = random.Random(3)
     for _ in range(150):
         masks, n = random_family(rng)
-        cols = columns(masks, n)
+        cols = columns([bits_of(m) for m in masks], n)
         rest = rng.randrange(1 << len(masks))
         live = [m for i, m in enumerate(masks) if rest >> i & 1]
         opt = brute_min_hitting_set(as_set(m) for m in live)
@@ -52,7 +52,7 @@ def test_hitting_set_within_returns_the_first_dfs_set():
         masks, n = random_family(rng)
         sets = [as_set(m) for m in masks]
         verts = [bits_of(m) for m in masks]
-        cols = columns(masks, n)
+        cols = columns([bits_of(m) for m in masks], n)
         rest = rng.randrange(1 << len(masks))
         live = [i for i in range(len(masks)) if rest >> i & 1]
         opt = brute_min_hitting_set(sets[i] for i in live)
