@@ -26,7 +26,6 @@ from .errors import (
     Infeasible,
     NotTriangleFree,
     Uncoverable,
-    Unseparable,
 )
 from .exact import SolveReport, sep_rb_exact, split_pairs
 from .graphs import (
@@ -34,10 +33,10 @@ from .graphs import (
     Graph,
     bits_of,
     certify,
-    graph_profile,
     is_triangle_free,
     mask_of,
     require_coloring,
+    require_rb_separable,
     require_twin_free,
     verify_rb_separating,
     verify_separating,
@@ -131,18 +130,6 @@ def set_system_from_text(text: str) -> SetSystem:
     return SetSystem(universe, tuple(range(universe)), tuple(sets))
 
 
-def _require_rb_separable(g: Graph, c: Coloring) -> None:
-    # Coloring order first, then Unseparable on the first red-blue twin
-    # pair in red-major order (red ascending, then blue ascending).
-    require_coloring(g, c)
-    closed = g.closed
-    blues = c.blue_vertices()
-    for r in c.red_vertices():
-        for b in blues:
-            if closed[r] == closed[b]:
-                raise Unseparable(tuple(sorted((r, b))))
-
-
 def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     """Red-blue separation as set cover.
 
@@ -150,9 +137,9 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     ascending); one set per vertex v containing the pairs (r, b) with v in
     exactly one of N[r], N[b]. Covers of size k correspond bijectively (by
     set label) to red-blue separating sets of size k. Raises Unseparable on
-    a pair covered by no set, i.e. a red-blue twin pair.
+    the lexicographically smallest red-blue twin pair, which no set covers.
     """
-    _require_rb_separable(g, c)
+    require_rb_separable(g, c)
     reds = c.red_vertices()
     blues = c.blue_vertices()
     pairs = [(r, b) for r in reds for b in blues]
@@ -200,12 +187,8 @@ def greedy_set_cover(sys: SetSystem) -> ApproxReport:
 
 
 def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
-    """Greedy red-blue separating set with factor at most max(1, 2 ln n).
-
-    Raises Unseparable on the first red-blue twin pair in the element order
-    of ``reduce_rb_to_set_cover`` (red ascending, then blue ascending).
-    """
-    _require_rb_separable(g, c)
+    """Greedy red-blue separating set with factor at most max(1, 2 ln n)."""
+    require_rb_separable(g, c)
     cols = [split_pairs(nv, g.n) for nv in g.closed]
     cover = _greedy_cover(cols, split_pairs(c.red_mask, g.n))
     certify(verify_rb_separating(g, c, cover.solution))
@@ -300,8 +283,7 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
     """
     require_twin_free(g)
     require_coloring(g, c)
-    profile = graph_profile(g)
-    if profile.max_degree < 3:
+    if g.max_degree < 3:
         raise ValueError("construction requires profile flag max_degree >= 3")
 
     small, big = _oriented(c)
@@ -341,7 +323,7 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
 
     solution = tuple(sorted(chosen))
     certify(verify_rb_separating(g, c, solution))
-    bound = profile.max_degree * len(small)
+    bound = g.max_degree * len(small)
     return ApproxReport(solution, float(bound), 0 if not small else 1)
 
 
@@ -359,11 +341,10 @@ def xp_exact_small_class(g: Graph, c: Coloring) -> SolveReport:
     small, _ = _oriented(c)
     if is_triangle_free(g):
         bound = 3 * len(small)
+    elif g.max_degree < 3:
+        raise NotTriangleFree("degree <= 2 graph with a triangle is a disjoint K3")
     else:
-        delta = graph_profile(g).max_degree
-        if delta < 3:
-            raise NotTriangleFree("degree <= 2 graph with a triangle is a disjoint K3")
-        bound = delta * len(small)
+        bound = g.max_degree * len(small)
     try:
         return sep_rb_exact(g, c, budget=bound)
     except Infeasible:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import MAXSEP_DEFAULT_CAP, gamma_exact, maxsep_exact, sep_exact
-from .graphs import Graph, graph_profile, require_twin_free
+from .exact import MAXSEP_DEFAULT_CAP, gamma_exact, maxsep_exact, sep_exact_allow_twins
+from .graphs import Graph, is_tree, require_twin_free
 from .trees import tree_profile
 
 __all__ = ["BoundCheck", "BoundsReport", "check_bounds", "LOG_LB_EXCLUDED"]
@@ -61,12 +61,12 @@ def check_bounds(
 ) -> BoundsReport:
     """Evaluate every applicable inequality on a twin-free graph."""
     require_twin_free(g)
-    profile = graph_profile(g)
     n = g.n
-    sep = sep_exact(g).optimum if n <= sep_cap else None
+    sep = sep_exact_allow_twins(g).optimum if n <= sep_cap else None
     maxsep = maxsep_exact(g, n_cap=maxsep_cap).value if n <= maxsep_cap else None
     gamma = gamma_exact(g).optimum
-    support = tree_profile(g).support_count if profile.is_tree else None
+    tree = is_tree(g)
+    support = tree_profile(g).support_count if tree else None
 
     checks: list[BoundCheck] = []
 
@@ -76,29 +76,19 @@ def check_bounds(
         else:
             checks.append(BoundCheck(name, lhs, rhs, lhs <= rhs, note))
 
-    if n >= 1 and n not in LOG_LB_EXCLUDED:
+    if n in LOG_LB_EXCLUDED:
+        add("floor_log2_le_maxsep", None, None, f"skipped: n={n} excluded")
+    elif n >= 1:
         add("floor_log2_le_maxsep", floor_log2(n), maxsep)
-    elif n in LOG_LB_EXCLUDED:
-        checks.append(
-            BoundCheck("floor_log2_le_maxsep", None, None, None, f"skipped: n={n} excluded")
-        )
     add("maxsep_le_sep", maxsep, sep)
     add("sep_le_n_minus_1", sep, n - 1 if n >= 1 else None)
-    if maxsep is not None:
-        add("sep_le_ceil_log2_n_times_maxsep", sep, ceil_log2(n) * maxsep)
-        add(
-            "sep_le_ceil_log2_deg1_times_maxsep_plus_gamma",
-            sep,
-            ceil_log2(profile.max_degree + 1) * maxsep + gamma,
-        )
+    if maxsep is None:
+        add("sep_le_ceil_log2_n_times_maxsep", sep, None, "skipped: maxsep over cap")
+        add("sep_le_ceil_log2_deg1_times_maxsep_plus_gamma", sep, None, "skipped: maxsep over cap")
     else:
-        checks.append(BoundCheck("sep_le_ceil_log2_n_times_maxsep", None, None, None, "skipped: maxsep over cap"))
-        checks.append(
-            BoundCheck(
-                "sep_le_ceil_log2_deg1_times_maxsep_plus_gamma", None, None, None, "skipped: maxsep over cap"
-            )
-        )
-    if profile.is_tree and n >= 5:
+        add("sep_le_ceil_log2_n_times_maxsep", sep, ceil_log2(n) * maxsep)
+        add("sep_le_ceil_log2_deg1_times_maxsep_plus_gamma", sep, ceil_log2(g.max_degree + 1) * maxsep + gamma)
+    if tree and n >= 5:
         add("tree_maxsep_le_half_n_plus_s", maxsep, (n + support) / 2)
         add("tree_sep_le_n_minus_s", sep, n - support)
         add("tree_maxsep_le_two_thirds_n", maxsep, 2 * n / 3)
@@ -108,7 +98,7 @@ def check_bounds(
         sep=sep,
         maxsep=maxsep,
         gamma=gamma,
-        max_degree=profile.max_degree,
+        max_degree=g.max_degree,
         support_count=support,
         checks=tuple(checks),
     )

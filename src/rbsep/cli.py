@@ -3,7 +3,7 @@
 Subcommands: solve, maxsep, bounds, generate, reduce, verify, experiment.
 Exit codes: 0 success; 1 infeasible/unseparable/invalid (a mathematical
 answer, not a failure); 2 malformed input or violated precondition;
-3 cap exceeded.
+3 cap exceeded, or a search too deep for Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from .errors import (
     RBSepError,
     Unseparable,
 )
-from .graphs import (
-    Coloring,
-    verify_dominating,
-    verify_rb_separating,
-    verify_separating,
-)
+from .graphs import Coloring, verify_rb_separating, verify_separating, violation
 
 EXIT_OK = 0
 EXIT_ANSWER_NO = 1
@@ -51,6 +46,8 @@ def cmd_solve(args) -> int:
     if method == "auto":
         method = "exact" if g.n <= args.sep_cap else "greedy"
         _emit(f"method {method} (auto)")
+    if args.budget is not None and method != "exact":
+        raise ValueError(f"--budget needs --method exact; method {method} takes no budget")
 
     if method in ("exact", "xp"):
         if method == "exact":
@@ -184,19 +181,14 @@ def cmd_verify(args) -> int:
     kind = args.kind
     if kind == "auto":
         kind = "rb" if args.coloring else "all-pairs"
-    if kind == "rb":
-        if not args.coloring:
-            raise ValueError("verify --kind rb needs --coloring")
-        c = io.read_coloring(args.coloring, g.n)
-        violation = verify_rb_separating(g, c, s)
-    elif kind == "all-pairs":
-        violation = verify_separating(g, s)
-    else:
-        violation = verify_dominating(g, s)
-    if violation is None:
+    if kind == "rb" and not args.coloring:
+        raise ValueError("verify --kind rb needs --coloring")
+    c = io.read_coloring(args.coloring, g.n) if kind == "rb" else None
+    found = violation(g, kind, s, c)
+    if found is None:
         _emit("valid")
         return EXIT_OK
-    _emit(f"invalid {violation}")
+    _emit(f"invalid {found}")
     return EXIT_ANSWER_NO
 
 
@@ -403,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ANSWER_NO
     except CapExceeded as exc:
         _emit(f"cap exceeded: {exc}")
+        return EXIT_CAP
+    except RecursionError:
+        _emit("search too deep to finish: Python's recursion limit was reached")
         return EXIT_CAP
     except (FormatError, RBSepError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

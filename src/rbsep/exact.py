@@ -10,10 +10,10 @@ which also answers the decision form ("is the optimum <= k?") without
 solving past the budget. Witnesses are certified against the verifiers
 before being reported.
 
-Before any search, ``rb_difference_masks`` calls ``graphs.require_coloring``
-and ``sep_exact`` and ``maxsep_exact`` call ``graphs.require_twin_free``.
-On a twin-free graph no difference mask is zero, so ``sep_exact`` is the
-twin-free case of ``sep_exact_allow_twins``.
+Before any search, ``rb_difference_masks`` calls
+``graphs.require_rb_separable``, and ``sep_exact`` and ``maxsep_exact`` call
+``graphs.require_twin_free``. On a twin-free graph no difference mask is
+zero, so ``sep_exact`` is the twin-free case of ``sep_exact_allow_twins``.
 
 ``split_pairs`` numbers the pairs lexicographically, for the greedy routes.
 The worst-coloring sweep numbers them in ``hitting.by_size`` order of their
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, Infeasible, NoDistinctFamily, Unseparable
+from .errors import CapExceeded, Infeasible, NoDistinctFamily
 from .graphs import (
     Coloring,
     Graph,
@@ -42,7 +42,7 @@ from .graphs import (
     bits_of,
     certify,
     mask_of,
-    require_coloring,
+    require_rb_separable,
     require_twin_free,
     verify_dominating,
     verify_rb_separating,
@@ -86,24 +86,18 @@ class MaxSepReport:
 
 
 def rb_difference_masks(g: Graph, c: Coloring) -> list[int]:
-    """Difference masks N[r] xor N[b] over all red-blue pairs.
+    """Difference masks N[r] xor N[b] over all red-blue pairs, none zero.
 
     Raises Unseparable on the lexicographically smallest red-blue twin pair.
     """
-    require_coloring(g, c)
-    closed = g.closed
-    red = c.red_mask
-    masks = []
-    for u in range(g.n):
-        cu = red >> u & 1
-        nu = closed[u]
-        for v in range(u + 1, g.n):
-            if (red >> v & 1) != cu:
-                d = nu ^ closed[v]
-                if not d:
-                    raise Unseparable((u, v))
-                masks.append(d)
-    return masks
+    require_rb_separable(g, c)
+    closed, red = g.closed, c.red_mask
+    return [
+        closed[u] ^ closed[v]
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if (red >> u ^ red >> v) & 1
+    ]
 
 
 def all_pairs_difference_masks(g: Graph) -> list[int]:

@@ -10,12 +10,15 @@ Every solver and construction in the package is certified against the
 verifiers here: a witness is only ever reported after it passes
 ``verify_rb_separating`` / ``verify_separating`` / ``verify_dominating``.
 
-The two input preconditions of the paper's problems are checked here and
-nowhere else: ``require_twin_free`` (all-pairs separation and the
-worst-coloring sweep are defined on twin-free graphs) raises NotTwinFree
-with the twin classes, and ``require_coloring`` (a red-blue instance colors
-every vertex) raises ValueError when the coloring's size is not the graph's
-order.
+The three input checks of the paper's problems live here and nowhere else:
+``require_twin_free`` (all-pairs separation and the worst-coloring sweep are
+defined on twin-free graphs) raises NotTwinFree with the twin classes;
+``require_coloring`` (a red-blue instance colors every vertex) raises
+ValueError when the coloring's size is not the graph's order; and
+``require_rb_separable`` (a red-blue separating set exists iff no red and
+blue vertex are twins) raises Unseparable on the lexicographically smallest
+red-blue twin pair. ``violation`` is the one table from a claim's kind
+(``rb``, ``all-pairs``, ``dominating``) to its verifier.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import CertificationError, NotTwinFree
+from .errors import CertificationError, NotTwinFree, Unseparable
 
 __all__ = [
     "Graph",
@@ -39,10 +42,12 @@ __all__ = [
     "twin_classes",
     "require_twin_free",
     "require_coloring",
+    "require_rb_separable",
     "verify_rb_separating",
     "verify_separating",
     "verify_separating_allow_twins",
     "verify_dominating",
+    "violation",
     "certify",
     "graph_profile",
 ]
@@ -117,6 +122,11 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
+
+    @property
+    def max_degree(self) -> int:
+        """Delta, the largest vertex degree (0 for the empty graph)."""
+        return max((row.bit_count() for row in self.adj), default=0)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -255,6 +265,20 @@ def require_coloring(g: Graph, c: Coloring) -> None:
         raise ValueError("coloring size does not match graph order")
 
 
+def require_rb_separable(g: Graph, c: Coloring) -> None:
+    """Check c, then raise Unseparable on the smallest red-blue twin pair.
+
+    Lexicographically smallest: the first twin class holding both colors
+    gives its smallest member and that member's first twin of the other color.
+    """
+    require_coloring(g, c)
+    for cls in twin_classes(g).classes:
+        first = c.is_red(cls[0])
+        for v in cls[1:]:
+            if c.is_red(v) != first:
+                raise Unseparable((cls[0], v))
+
+
 def _set_mask(g: Graph, s: Iterable[int]) -> int:
     mask = mask_of(s)
     if mask & ~((1 << g.n) - 1 if g.n else 0):
@@ -332,6 +356,21 @@ def verify_dominating(g: Graph, d: Iterable[int]) -> int | None:
     return None
 
 
+def violation(g: Graph, kind: str, s: Iterable[int], c: Coloring | None = None) -> object:
+    """The verifier's violation of the claim that s is a ``kind`` set of g.
+
+    Kinds: ``rb`` (under the coloring c), ``all-pairs``, ``dominating``. An
+    unknown kind or an rb claim without c returns a reason string instead.
+    """
+    if kind == "rb":
+        return "no coloring to check against" if c is None else verify_rb_separating(g, c, s)
+    if kind == "all-pairs":
+        return verify_separating(g, s)
+    if kind == "dominating":
+        return verify_dominating(g, s)
+    return f"unknown claim kind {kind!r}"
+
+
 def certify(violation: object) -> None:
     """Raise CertificationError unless a verifier (or size check) returned None."""
     if violation is not None:
@@ -389,12 +428,11 @@ def is_tree(g: Graph) -> bool:
 
 def graph_profile(g: Graph) -> GraphProfile:
     """Compute the dispatch profile: order, size, degrees, and class flags."""
-    degrees = [g.degree(v) for v in range(g.n)] or [0]
     return GraphProfile(
         n=g.n,
         m=g.m,
-        max_degree=max(degrees),
-        min_degree=min(degrees),
+        max_degree=g.max_degree,
+        min_degree=min((row.bit_count() for row in g.adj), default=0),
         triangle_free=is_triangle_free(g),
         connected=is_connected(g),
         is_tree=is_tree(g),

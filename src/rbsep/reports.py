@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .exact import MaxSepReport, SolveReport
+from .graphs import violation
 from .io import read_coloring, read_graph
 
 __all__ = [
@@ -130,8 +131,6 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
     checked (a witness without a graph input, an rb witness without a
     coloring input).
     """
-    from .graphs import verify_dominating, verify_rb_separating, verify_separating
-
     outcomes: list[tuple[str, bool]] = []
     inputs = data.get("inputs", {})
     for name, meta in inputs.items():
@@ -162,15 +161,6 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
         if witness is None:
             continue
         kind = record.get("verifies", "rb" if coloring is not None else "all-pairs")
-        if graph is None:
-            ok = False
-        elif kind == "rb" and coloring is not None:
-            ok = verify_rb_separating(graph, coloring, witness) is None
-        elif kind == "all-pairs":
-            ok = verify_separating(graph, witness) is None
-        elif kind == "dominating":
-            ok = verify_dominating(graph, witness) is None
-        else:
-            ok = False
+        ok = graph is not None and violation(graph, kind, witness, coloring) is None
         outcomes.append((f"witness:{key}", ok))
     return outcomes

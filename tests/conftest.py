@@ -49,6 +49,15 @@ def is_separating(g: Graph, subset) -> bool:
     return len(set(codes)) == g.n
 
 
+def brute_rb_twin_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
+    """Smallest (u, v), u < v, with opposite colors and N[u] = N[v], or None."""
+    nb = closed_sets(g)
+    for u, v in combinations(range(g.n), 2):
+        if c.is_red(u) != c.is_red(v) and nb[u] == nb[v]:
+            return (u, v)
+    return None
+
+
 def brute_min_rb_sep(g: Graph, c: Coloring) -> tuple[int, tuple[int, ...]]:
     """Smallest red-blue separating set by ascending-size enumeration."""
     for size in range(g.n + 1):

@@ -3,15 +3,20 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_cover_optimum,
+    brute_rb_twin_pair,
     complete_bipartite,
     cycle_graph,
     path_graph,
     reference_greedy,
 )
 import rbsep.exact
+import rbsep.graphs
+from rbsep.bounds import check_bounds
 from rbsep.approx import (
     SetSystem,
     bounded_degree_construct,
@@ -41,6 +46,7 @@ from rbsep.graphs import (
     verify_separating,
 )
 from rbsep.hitting import greedy_hitting_set
+from test_graphs import graph_and_coloring
 
 
 def test_reduce_monochromatic():
@@ -129,10 +135,60 @@ def test_twin_pair_reported_in_each_solvers_pair_order():
     c = Coloring.from_string("BRRB")
     with pytest.raises(Unseparable) as exc:
         sep_rb_greedy(g, c)
-    assert exc.value.pair == (1, 3)  # red-major: red 1 before red 2
+    assert exc.value.pair == (0, 2)
     with pytest.raises(Unseparable) as exc:
         sep_rb_exact(g, c)
     assert exc.value.pair == (0, 2)  # lexicographic over u < w
+
+
+@st.composite
+def graph_and_coloring_with_twins(draw):
+    # Half the draws gain a closed twin of a drawn vertex, in a drawn color.
+    g, c = draw(graph_and_coloring())
+    if not draw(st.booleans()):
+        return g, c
+    v = draw(st.integers(min_value=0, max_value=g.n - 1))
+    edges = g.edges() + [(u, g.n) for u in g.neighbors(v)] + [(v, g.n)]
+    red = c.red_mask | draw(st.booleans()) << g.n
+    return Graph.from_edges(g.n + 1, edges), Coloring(g.n + 1, red)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_coloring_with_twins())
+def test_rb_solvers_report_the_smallest_rb_twin_pair(gc):
+    g, c = gc
+    pair = brute_rb_twin_pair(g, c)
+    for solve in (sep_rb_exact, sep_rb_greedy, reduce_rb_to_set_cover):
+        if pair is None:
+            solve(g, c)
+            continue
+        with pytest.raises(Unseparable) as exc:
+            solve(g, c)
+        assert exc.value.pair == pair
+
+
+def test_twin_classes_runs_once_per_twin_check(monkeypatch):
+    calls = []
+    twin_classes = rbsep.graphs.twin_classes
+
+    def counted(g):
+        calls.append(g)
+        return twin_classes(g)
+
+    monkeypatch.setattr(rbsep.graphs, "twin_classes", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    g = gen_random_twin_free(12, 0.3, 7)
+    c = Coloring.from_string("RBBRBBBRBBBB")
+    assert max(map(g.degree, g.vertices())) >= 3
+    assert count(bounded_degree_construct, g, c) == 1
+    assert count(check_bounds, g) <= 2
+    assert count(sep_rb_exact, g, c) == 1
+    assert count(sep_rb_greedy, g, c) == 1
 
 
 def test_greedy_factor_on_k55():

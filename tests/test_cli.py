@@ -55,6 +55,30 @@ def test_solve_monochromatic_and_budget(tmp_path):
     assert res.returncode == 1  # infeasible within budget is exit 1
 
 
+@pytest.mark.parametrize("extra", [["--method", "xp"], ["--method", "greedy"], ["--sep-cap", "2"]])
+def test_budget_outside_exact_exits_input(tmp_path, extra):
+    # On P6 colored RBBRBB the optimum is 2: a budget of 1 answers no under
+    # exact, so any method that ignored it would print a solution instead.
+    gpath, cpath = str(tmp_path / "g.txt"), str(tmp_path / "c.txt")
+    write_graph(gpath, path_graph(6))
+    write_coloring(cpath, Coloring.from_string("RBBRBB"))
+    res = run_cli("solve", "--graph", gpath, "--coloring", cpath, "--budget", "1", *extra)
+    assert res.returncode == 2
+    assert "--budget" in res.stderr and "--method exact" in res.stderr
+    assert "solution" not in res.stdout and "optimum" not in res.stdout
+
+
+def test_search_too_deep_exits_cap_without_traceback(tmp_path):
+    # gamma of an edgeless graph is its order, deeper than the default
+    # recursion limit of the kernel's depth-first search.
+    gpath = tmp_path / "edgeless.txt"
+    gpath.write_text("1100 0\n")
+    res = run_cli("bounds", "--graph", str(gpath))
+    assert res.returncode == 3
+    assert "too deep" in res.stdout
+    assert "Traceback" not in res.stderr
+
+
 def test_solve_unseparable_exit_code(tmp_path):
     gpath, cpath = str(tmp_path / "g.txt"), str(tmp_path / "c.txt")
     (tmp_path / "g.txt").write_text("2 1\n0 1\n")

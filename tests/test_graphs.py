@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_bipartite, cycle_graph, path_graph
+from conftest import complete_bipartite, cycle_graph, path_graph, star_graph
 from rbsep.generators import gen_random_twin_free
 from rbsep.graphs import (
     Coloring,
@@ -15,6 +15,7 @@ from rbsep.graphs import (
     verify_rb_separating,
     verify_separating,
     verify_separating_allow_twins,
+    violation,
 )
 
 
@@ -100,6 +101,27 @@ def test_graph_profile():
     assert p6.is_tree and p6.connected and p6.twin_free
     empty = graph_profile(Graph.from_edges(0, []))
     assert empty.n == 0 and not empty.is_tree
+
+
+def test_max_degree():
+    assert star_graph(5).max_degree == 4
+    assert cycle_graph(4).max_degree == 2
+    assert Graph.from_edges(3, []).max_degree == 0
+    assert Graph.from_edges(0, []).max_degree == 0
+    empty = graph_profile(Graph.from_edges(0, []))
+    assert empty.max_degree == 0 and empty.min_degree == 0
+
+
+def test_violation_maps_each_claim_kind_to_its_verifier():
+    p4 = path_graph(4)
+    c = Coloring.from_string("RBBR")
+    for s in ([], [1], [0, 3], [1, 2]):
+        assert violation(p4, "rb", s, c) == verify_rb_separating(p4, c, s)
+        assert violation(p4, "all-pairs", s) == verify_separating(p4, s)
+        assert violation(p4, "dominating", s) == verify_dominating(p4, s)
+    # Claims that cannot be checked fail with a reason, never pass.
+    assert isinstance(violation(p4, "rb", [0, 1, 2, 3]), str)
+    assert isinstance(violation(p4, "none", [0, 1, 2, 3], c), str)
 
 
 def test_coloring_round_trip():
