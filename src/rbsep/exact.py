@@ -153,7 +153,7 @@ def sep_rb_exact(g: Graph, c: Coloring, budget: int | None = None) -> SolveRepor
     return report
 
 
-def sep_exact(g: Graph, budget: int | None = None) -> SolveReport:
+def sep_exact(g: Graph) -> SolveReport:
     """Minimum set giving all n vertices pairwise distinct codes.
 
     Requires a twin-free graph; raises NotTwinFree carrying the twin classes
@@ -161,10 +161,10 @@ def sep_exact(g: Graph, budget: int | None = None) -> SolveReport:
     ``sep_exact_allow_twins``.
     """
     require_twin_free(g)
-    return sep_exact_allow_twins(g, budget)
+    return sep_exact_allow_twins(g)
 
 
-def sep_exact_allow_twins(g: Graph, budget: int | None = None) -> SolveReport:
+def sep_exact_allow_twins(g: Graph) -> SolveReport:
     """Variant of sep_exact that exempts twin pairs instead of failing.
 
     Pairs with identical closed neighborhoods are unseparable by any set, so
@@ -173,7 +173,7 @@ def sep_exact_allow_twins(g: Graph, budget: int | None = None) -> SolveReport:
     """
     start = time.perf_counter()
     masks = [d for d in all_pairs_difference_masks(g) if d]
-    out = _solve_masks(masks, budget, start)
+    out = _solve_masks(masks, None, start)
     certify(verify_separating_allow_twins(g, out.witness))
     return out
 

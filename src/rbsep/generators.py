@@ -362,9 +362,6 @@ class GadgetReduction:
     var_pos: tuple[int, ...]  # vertex of literal +i, 1-based index i-1
     var_neg: tuple[int, ...]  # vertex of literal -i
 
-    def literal_vertex(self, lit: int) -> int:
-        return self.var_pos[abs(lit) - 1] if lit > 0 else self.var_neg[abs(lit) - 1]
-
     def prescribed_separating_set(self, assignment: list[bool] | tuple[bool, ...]) -> tuple[int, ...]:
         """All gadget u-vertices plus one true literal vertex per variable."""
         out = []

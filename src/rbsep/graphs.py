@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CertificationError, NotTwinFree, Unseparable
 
@@ -186,9 +186,6 @@ class Coloring:
     def is_red(self, v: int) -> bool:
         return bool(self.red_mask >> v & 1)
 
-    def color_of(self, v: int) -> str:
-        return RED if self.is_red(v) else BLUE
-
     def red_vertices(self) -> tuple[int, ...]:
         return bits_of(self.red_mask)
 
@@ -207,9 +204,6 @@ class Coloring:
         """The coloring with the two classes exchanged."""
         return Coloring(self.n, ~self.red_mask & ((1 << self.n) - 1))
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.to_string())
-
 
 @dataclass(frozen=True)
 class TwinReport:
@@ -220,9 +214,6 @@ class TwinReport:
     @property
     def is_twin_free(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
-
-    def nontrivial(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c in self.classes if len(c) > 1)
 
 
 def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:

@@ -1,34 +1,28 @@
 """Report records and their on-disk JSON form.
 
 A run report carries the command echo, sha256 digests of the inputs, the
-per-operation results, and any bound checks. Reports re-verify on load:
-``reverify_run_report`` re-reads the input files and checks every claimed
-witness against the verifiers again.
-
-Field names in serialized solver records are fixed: ``optimum``,
-``witness``, ``method``, ``nodes_explored``, ``elapsed_ms`` for minimization
-reports and ``value``, ``worst_coloring``, ``per_coloring_count`` for the
-worst-coloring sweep.
+per-operation results, and any bound checks. Each record is its result
+dataclass's fields by name (``record``); solver records add ``verifies``, the
+claim kind a re-check tests, and maxsep-approx records also carry
+``upper_bound`` and ``lower_bound``. ``reverify_run_report`` re-reads the
+input files and checks every claimed witness against the verifiers again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
-from .exact import MaxSepReport, SolveReport
-from .graphs import violation
+from .graphs import Coloring, violation
 from .io import read_coloring, read_graph
 
 __all__ = [
     "FORMAT",
     "RunReport",
-    "solve_report_to_dict",
-    "maxsep_report_to_dict",
-    "approx_report_to_dict",
+    "record",
     "write_run_report",
     "load_run_report",
     "reverify_run_report",
@@ -42,30 +36,19 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def solve_report_to_dict(r: SolveReport) -> dict[str, Any]:
-    return {
-        "optimum": r.optimum,
-        "witness": list(r.witness),
-        "method": r.method,
-        "nodes_explored": r.nodes_explored,
-        "elapsed_ms": r.elapsed_ms,
-    }
+def record(r) -> dict[str, Any]:
+    """A result dataclass as a JSON object; a ``Coloring`` becomes its R/B string."""
+    return {f.name: _json_value(getattr(r, f.name)) for f in fields(r)}
 
 
-def maxsep_report_to_dict(r: MaxSepReport) -> dict[str, Any]:
-    return {
-        "value": r.value,
-        "worst_coloring": r.worst_coloring.to_string(),
-        "per_coloring_count": r.per_coloring_count,
-    }
-
-
-def approx_report_to_dict(r) -> dict[str, Any]:
-    return {
-        "solution": list(r.solution),
-        "guarantee": r.guarantee,
-        "optimum_lower_bound": r.optimum_lower_bound,
-    }
+def _json_value(v):
+    if isinstance(v, Coloring):
+        return v.to_string()
+    if is_dataclass(v):
+        return record(v)
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
 
 
 @dataclass
@@ -79,19 +62,10 @@ class RunReport:
     def add_input(self, name: str, path: str | Path) -> None:
         self.inputs[name] = {"path": str(path), "sha256": file_digest(path)}
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "format": FORMAT,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "bound_checks": self.bound_checks,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
 
 def write_run_report(path: str | Path, report: RunReport) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    data = {"format": FORMAT, **record(report)}
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def load_run_report(path: str | Path) -> dict[str, Any]:

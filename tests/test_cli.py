@@ -306,3 +306,12 @@ def test_oversized_graph_order_exits_input(tmp_path, capsys):
     gpath.write_text(f"{MAX_GRAPH_ORDER + 1} 0\n")
     assert main(["maxsep", "--graph", str(gpath)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [0, MAX_GRAPH_ORDER + 1])
+def test_experiment_size_outside_graph_orders_exits_input(tmp_path, capsys, size):
+    out = tmp_path / "ratio.csv"
+    argv = ["experiment", "--suite", "ratio", "--sizes", f"5,{size}", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"graph order {size} is outside 1..{MAX_GRAPH_ORDER}" in capsys.readouterr().err
+    assert not out.exists()

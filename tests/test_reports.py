@@ -1,0 +1,161 @@
+"""Whole run-report records, pinned field by field.
+
+Each case runs ``rbsep.cli.main`` with ``--out`` on one fixed 7-vertex tree
+and compares the JSON it writes, with the timings and the command echo
+removed, against the record the CLI has always written for it.
+"""
+
+import json
+
+import pytest
+
+from rbsep.cli import main
+
+GRAPH = "7 6\n0 1\n1 2\n2 3\n1 4\n4 5\n5 6\n"
+COLORING = "RBBRBRB\n"
+GRAPH_SHA = "b8cf9af94c47f1ee3d3b74903667d8005b462b7761ed87db4cbc1e5e1b571ba8"
+COLORING_SHA = "11675ca66d2e9c4f243a81bf47c5e3b14702800fb4330ad6f8410b1e50b003e9"
+
+EXACT = {
+    "method": "branch-and-bound", "nodes_explored": 6, "optimum": 3,
+    "verifies": "rb", "witness": [1, 2, 4],
+}
+
+
+def _approx(solution, guarantee, lower):
+    return {
+        "guarantee": guarantee, "optimum_lower_bound": lower,
+        "solution": solution, "verifies": "rb",
+    }
+
+
+SOLVE = {
+    "exact": EXACT,
+    "xp": EXACT,
+    "greedy": _approx([1, 2, 4], 3.8918202981106265, 2),
+    "triangle-free": _approx([0, 1, 2, 3, 4, 5, 6], 9.0, 1),
+    "bounded-degree": _approx([0, 1, 2, 3, 4, 6], 9.0, 1),
+}
+
+MAXSEP = {
+    "exact": {
+        "maxsep-exact": {
+            "per_coloring_count": 64, "value": 3, "verifies": "none",
+            "worst_coloring": "BRBRBRB",
+        }
+    },
+    "approx": {
+        "maxsep-approx": {
+            "guarantee": 14.67546089433188, "lower_bound": 2, "optimum_lower_bound": 2,
+            "solution": [1, 2, 4], "upper_bound": 3, "verifies": "all-pairs",
+        }
+    },
+}
+
+CHECK_NAMES = (
+    "floor_log2_le_maxsep", "maxsep_le_sep", "sep_le_n_minus_1",
+    "sep_le_ceil_log2_n_times_maxsep", "sep_le_ceil_log2_deg1_times_maxsep_plus_gamma",
+    "tree_maxsep_le_half_n_plus_s", "tree_sep_le_n_minus_s", "tree_maxsep_le_two_thirds_n",
+)
+
+BOUNDS = {
+    (): (
+        [(2, 3), (3, 3), (3, 6), (3, 9), (3, 9), (3, 5.0), (3, 4), (3, 4.666666666666667)],
+        {"gamma": 3, "max_degree": 3, "maxsep": 3, "n": 7, "sep": 3, "support_count": 3},
+    ),
+    ("--cap", "3", "--sep-cap", "2"): (
+        None,
+        {"gamma": 3, "max_degree": 3, "maxsep": None, "n": 7, "sep": None, "support_count": 3},
+    ),
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text(GRAPH)
+    cpath.write_text(COLORING)
+    return {
+        "graph": {"path": str(gpath), "sha256": GRAPH_SHA},
+        "coloring": {"path": str(cpath), "sha256": COLORING_SHA},
+    }
+
+
+def _run(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data.pop("command") == ["rbsep", *argv, "--out", str(out)]
+    assert isinstance(data.pop("elapsed_ms"), float)
+    for record in data["results"].values():
+        record.pop("elapsed_ms", None)
+    return data
+
+
+def _same(got, want):
+    # json.dumps tells 3 from 3.0, which == does not.
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("method", list(SOLVE))
+def test_solve_report_record(tmp_path, inputs, method):
+    argv = ["solve", "--graph", inputs["graph"]["path"],
+            "--coloring", inputs["coloring"]["path"], "--method", method]
+    _same(_run(tmp_path, argv), {
+        "format": "rbsep-report/1",
+        "inputs": inputs,
+        "results": {method: SOLVE[method]},
+        "bound_checks": [],
+    })
+
+
+@pytest.mark.parametrize("mode", list(MAXSEP))
+def test_maxsep_report_record(tmp_path, inputs, mode):
+    argv = ["maxsep", "--graph", inputs["graph"]["path"], "--mode", mode]
+    _same(_run(tmp_path, argv), {
+        "format": "rbsep-report/1",
+        "inputs": {"graph": inputs["graph"]},
+        "results": MAXSEP[mode],
+        "bound_checks": [],
+    })
+
+
+@pytest.mark.parametrize("extra", list(BOUNDS))
+def test_bounds_report_record(tmp_path, inputs, extra):
+    sides, parameters = BOUNDS[extra]
+    if sides is None:
+        notes = ["skipped: value not computed"] * 3 + ["skipped: maxsep over cap"] * 2
+        notes += ["skipped: value not computed"] * 3
+        checks = [
+            {"name": name, "lhs": None, "rhs": None, "holds": None, "note": note}
+            for name, note in zip(CHECK_NAMES, notes)
+        ]
+    else:
+        checks = [
+            {"name": name, "lhs": lhs, "rhs": rhs, "holds": True, "note": ""}
+            for name, (lhs, rhs) in zip(CHECK_NAMES, sides)
+        ]
+    argv = ["bounds", "--graph", inputs["graph"]["path"], *extra]
+    _same(_run(tmp_path, argv), {
+        "format": "rbsep-report/1",
+        "inputs": {"graph": inputs["graph"]},
+        "results": {"parameters": parameters},
+        "bound_checks": checks,
+    })
+
+
+def test_record_writes_nested_results_as_json_values():
+    from rbsep.bounds import BoundCheck, BoundsReport
+    from rbsep.exact import MaxSepReport
+    from rbsep.graphs import Coloring
+    from rbsep.reports import record
+
+    assert record(MaxSepReport(2, Coloring.from_string("RBB"), 4)) == {
+        "value": 2, "worst_coloring": "RBB", "per_coloring_count": 4,
+    }
+    check = BoundCheck("maxsep_le_sep", 1, 2, True)
+    assert record(BoundsReport(3, 2, 1, 1, 2, None, (check,))) == {
+        "n": 3, "sep": 2, "maxsep": 1, "gamma": 1, "max_degree": 2, "support_count": None,
+        "checks": [{"name": "maxsep_le_sep", "lhs": 1, "rhs": 2, "holds": True, "note": ""}],
+    }
