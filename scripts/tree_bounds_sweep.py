@@ -17,7 +17,6 @@ import random  # noqa: E402
 from rbsep.exact import maxsep_exact  # noqa: E402
 from rbsep.generators import gen_random_tree  # noqa: E402
 from rbsep.trees import tree_profile, tree_rb_construct  # noqa: E402
-from rbsep.graphs import verify_rb_separating  # noqa: E402
 
 
 def main() -> int:
@@ -33,8 +32,8 @@ def main() -> int:
         prof = tree_profile(t)
         s = prof.support_count
         sweep = maxsep_exact(t, n_cap=max(14, max_n))
+        # tree_rb_construct certifies its set before returning it.
         built = tree_rb_construct(t, sweep.worst_coloring)
-        assert verify_rb_separating(t, sweep.worst_coloring, built) is None
         worst_ratio = max(worst_ratio, sweep.value / n)
         print(
             f"{n:<2} {s:<2} {sweep.value:^7} {n - s:^4} {(n + s) / 2:^8} "

@@ -10,9 +10,9 @@ and via sep(G) <= ceil(log2 n) * maxsep_RB(G) also maxsep within O(ln^2 n).
 ``rbsep reduce``.
 
 The constructions give cardinality guarantees (3 or Delta times the smaller
-color class) on triangle-free and bounded-degree graphs; those bounds in
-turn are the search budget of ``xp_exact_small_class``, which runs the
-exact kernel through ``sep_rb_exact``.
+color class) on triangle-free and bounded-degree graphs.
+``xp_exact_small_class`` runs the matching construction and takes its
+guarantee as the search budget of the exact kernel (``sep_rb_exact``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .graphs import (
     verify_rb_separating,
     verify_separating,
 )
-from .hitting import greedy_hitting_set
+from .hitting import columns, greedy_hitting_set
 
 __all__ = [
     "SetSystem",
@@ -134,25 +134,17 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     """Red-blue separation as set cover.
 
     One universe element per red-blue pair, ordered (red ascending, blue
-    ascending); one set per vertex v containing the pairs (r, b) with v in
-    exactly one of N[r], N[b]. Covers of size k correspond bijectively (by
-    set label) to red-blue separating sets of size k. Raises Unseparable on
-    the lexicographically smallest red-blue twin pair, which no set covers.
+    ascending); the set of vertex v is column v of the difference masks
+    N[r] ^ N[b], the pairs v separates. Covers of size k correspond
+    bijectively (by set label) to red-blue separating sets of size k. Raises
+    Unseparable on the lexicographically smallest red-blue twin pair, which
+    no set covers.
     """
     require_rb_separable(g, c)
-    reds = c.red_vertices()
-    blues = c.blue_vertices()
-    pairs = [(r, b) for r in reds for b in blues]
     closed = g.closed
-    sets = []
-    for v in range(g.n):
-        bit = 1 << v
-        elems = []
-        for i, (r, b) in enumerate(pairs):
-            if bool(closed[r] & bit) != bool(closed[b] & bit):
-                elems.append(i)
-        sets.append((v, tuple(elems)))
-    return SetSystem(len(pairs), tuple(pairs), tuple(sets))
+    pairs = tuple((r, b) for r in c.red_vertices() for b in c.blue_vertices())
+    cols = columns([bits_of(closed[r] ^ closed[b]) for r, b in pairs], g.n)
+    return SetSystem(len(pairs), pairs, tuple((v, bits_of(col)) for v, col in enumerate(cols)))
 
 
 def _greedy_cover(cols: list[int], universe: int) -> ApproxReport:
@@ -330,21 +322,15 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
 def xp_exact_small_class(g: Graph, c: Coloring) -> SolveReport:
     """Exact optimum searched only up to the constructive bound.
 
-    The bound is 3 * min class size on triangle-free graphs and
-    Delta * min class size otherwise (Delta >= 3); the constructions above
-    guarantee a solution of that size exists, so ``sep_rb_exact`` under that
-    budget returns the optimum after O(n^bound) nodes. Raises
+    The budget is the guarantee of ``triangle_free_construct`` on
+    triangle-free graphs and of ``bounded_degree_construct`` otherwise (3 or
+    Delta times the smaller class); each construction checks its own
+    preconditions and certifies a solution of that size, so ``sep_rb_exact``
+    under that budget returns the optimum after O(n^bound) nodes. Raises
     CertificationError if no solution fits the bound.
     """
-    require_twin_free(g)
-    require_coloring(g, c)
-    small, _ = _oriented(c)
-    if is_triangle_free(g):
-        bound = 3 * len(small)
-    elif g.max_degree < 3:
-        raise NotTriangleFree("degree <= 2 graph with a triangle is a disjoint K3")
-    else:
-        bound = g.max_degree * len(small)
+    construct = triangle_free_construct if is_triangle_free(g) else bounded_degree_construct
+    bound = int(construct(g, c).guarantee)
     try:
         return sep_rb_exact(g, c, budget=bound)
     except Infeasible:

@@ -52,9 +52,11 @@ __all__ = [
     "gen_random_twin_free",
     "gen_random_tree",
     "build_from_spec",
+    "pair_count",
 ]
 
-# Largest edge count ``build_from_spec`` builds, worked out from the spec.
+# Largest edge count ``build_from_spec`` builds, worked out from the spec;
+# ``rbsep experiment`` bounds the vertex pairs of its G(n, 0.4) draws by it.
 MAX_SPEC_EDGES = 1_000_000
 
 
@@ -505,6 +507,11 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def pair_count(n: int) -> int:
+    """Vertex pairs of an n-vertex graph, every one of which G(n, p) draws."""
+    return n * (n - 1) // 2
+
+
 def _require_size(spec: GeneratorSpec, order: int, edges: int = 0) -> None:
     if order > MAX_GRAPH_ORDER:
         raise ValueError(f"spec {spec.render()!r} gives a graph order above {MAX_GRAPH_ORDER}")
@@ -527,7 +534,7 @@ def build_from_spec(spec: GeneratorSpec) -> tuple[Graph, Coloring | None]:
         k = int(spec.get("k", "1"))
         # Capping k keeps a huge k from building its huge 2^k.
         n = 2 ** min(k, MAX_GRAPH_ORDER.bit_length())
-        _require_size(spec, n, n * (n - 1) // 2)
+        _require_size(spec, n, pair_count(n))
         g, colorings = gen_power_set_graph(k)
         return g, colorings[0]
     if fam == "half-complement":
@@ -546,7 +553,7 @@ def build_from_spec(spec: GeneratorSpec) -> tuple[Graph, Coloring | None]:
         return gen_complete_multipartite(parts, strict=strict)
     if fam == "random":
         n = int(spec.get("n", "8"))
-        _require_size(spec, n, n * (n - 1) // 2)
+        _require_size(spec, n, pair_count(n))
         g = gen_random_twin_free(n, float(spec.get("p", "0.4")), int(spec.get("seed", "0")))
         return g, None
     if fam == "tree":

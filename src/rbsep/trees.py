@@ -3,6 +3,8 @@
 Terminology: a leaf has degree 1; a support vertex is adjacent to a leaf.
 S_i collects the supports with exactly i adjacent leaves, L_i their leaves;
 S_+ and L_+ are the supports/leaves with i >= 2. |L_1| = |S_1| always.
+``tree_profile`` finds each support's leaves once (``TreeProfile.leaves_of``);
+the classes and every construction below read them from there.
 
 The constructions implemented here:
 
@@ -53,12 +55,16 @@ __all__ = [
 
 @dataclass
 class TreeProfile:
-    """Leaf/support classification of a tree."""
+    """Leaf/support classification of a tree.
+
+    ``leaves_of`` maps each support to its adjacent leaves in ascending
+    order; the classes S_i, L_i, S_+ and L_+ are read from it.
+    """
 
     n: int
     leaves: tuple[int, ...]
     supports: tuple[int, ...]
-    support_leaf_count: dict[int, int] = field(repr=False)
+    leaves_of: dict[int, tuple[int, ...]] = field(repr=False)
 
     @property
     def leaf_count(self) -> int:
@@ -70,24 +76,19 @@ class TreeProfile:
 
     def s_class(self, i: int) -> tuple[int, ...]:
         """Supports with exactly i adjacent leaves."""
-        return tuple(u for u in self.supports if self.support_leaf_count[u] == i)
+        return tuple(u for u in self.supports if len(self.leaves_of[u]) == i)
 
-    def l_class(self, i: int, g: Graph) -> tuple[int, ...]:
+    def l_class(self, i: int) -> tuple[int, ...]:
         """Leaves adjacent to supports in the class S_i."""
-        s_i = set(self.s_class(i))
-        return tuple(v for v in self.leaves if _support_of(g, v) in s_i)
+        return tuple(sorted(v for u in self.s_class(i) for v in self.leaves_of[u]))
 
     @property
     def s_plus(self) -> tuple[int, ...]:
-        return tuple(u for u in self.supports if self.support_leaf_count[u] >= 2)
+        return tuple(u for u in self.supports if len(self.leaves_of[u]) >= 2)
 
-    def l_plus(self, g: Graph) -> tuple[int, ...]:
-        s_p = set(self.s_plus)
-        return tuple(v for v in self.leaves if _support_of(g, v) in s_p)
-
-
-def _support_of(g: Graph, leaf: int) -> int:
-    return bits_of(g.adj[leaf])[0]
+    @property
+    def l_plus(self) -> tuple[int, ...]:
+        return tuple(sorted(v for u in self.s_plus for v in self.leaves_of[u]))
 
 
 def _require_tree(t: Graph) -> None:
@@ -99,12 +100,11 @@ def tree_profile(t: Graph) -> TreeProfile:
     """Classify leaves and support vertices; raises NotATree on a non-tree."""
     _require_tree(t)
     leaves = tuple(v for v in range(t.n) if t.degree(v) == 1)
-    counts: dict[int, int] = {}
+    leaves_of: dict[int, tuple[int, ...]] = {}
     for v in leaves:
-        u = _support_of(t, v)
-        counts[u] = counts.get(u, 0) + 1
-    supports = tuple(sorted(counts))
-    return TreeProfile(n=t.n, leaves=leaves, supports=supports, support_leaf_count=counts)
+        u = t.neighbors(v)[0]
+        leaves_of[u] = leaves_of.get(u, ()) + (v,)
+    return TreeProfile(t.n, leaves, tuple(sorted(leaves_of)), leaves_of)
 
 
 def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
@@ -131,7 +131,7 @@ def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
     if t.degree(v) >= 2:
         out = t.neighbors(v)[:2]
     else:
-        u = _support_of(t, v)
+        u = t.neighbors(v)[0]
         w = next(x for x in t.neighbors(u) if x != v)
         out = tuple(sorted((v, w)))
     certify(verify_rb_separating(t, c, out))
@@ -144,18 +144,13 @@ def _shift_away_from_single_leaves(
     # For each single-leaf support u that the pre-shift parity set selected,
     # move its leaf's slot to u's lowest-index internal neighbor.
     # Eligibility is judged on the original parity membership so one shift
-    # cannot cascade into another.
-    leaf_set = set(profile.leaves)
+    # cannot cascade into another. Both callers start ``chosen`` from a base
+    # holding every leaf and drop only S_+ leaves, so each S_1 leaf is in it.
     out = set(chosen)
     for u in profile.s_class(1):
-        if u not in base:
-            continue
-        v = next(x for x in t.neighbors(u) if x in leaf_set)
-        if v not in out:
-            continue
-        w = next(x for x in t.neighbors(u) if x not in leaf_set)
-        out.discard(v)
-        out.add(w)
+        if u in base:
+            out.discard(profile.leaves_of[u][0])
+            out.add(next(x for x in t.neighbors(u) if t.degree(x) > 1))
     return out
 
 
@@ -185,7 +180,7 @@ def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return out1, out2
 
 
-def ns3_vertices(t: Graph, profile: TreeProfile | None = None) -> tuple[int, ...]:
+def ns3_vertices(t: Graph, profile: TreeProfile) -> tuple[int, ...]:
     """Greedy internal-neighbor cover for 3-leaf supports.
 
     For each support with exactly three leaves and no support neighbor in
@@ -193,15 +188,12 @@ def ns3_vertices(t: Graph, profile: TreeProfile | None = None) -> tuple[int, ...
     already present). Greedy keeps at most one vertex per such support,
     which is all the (n + s)/2 size accounting needs.
     """
-    if profile is None:
-        profile = tree_profile(t)
-    leaf_set = set(profile.leaves)
     s_plus = set(profile.s_plus)
     out: set[int] = set()
     for u in profile.s_class(3):
         if any(nb in s_plus for nb in t.neighbors(u)):
             continue
-        internal = [nb for nb in t.neighbors(u) if nb not in leaf_set]
+        internal = [nb for nb in t.neighbors(u) if t.degree(nb) > 1]
         if not any(nb in out for nb in internal):
             out.add(internal[0])
     return tuple(sorted(out))
@@ -258,7 +250,7 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
     chosen = set(base)
 
     for u in sorted(s_plus):
-        adj_leaves = [v for v in t.neighbors(u) if v in leaf_set]
+        adj_leaves = profile.leaves_of[u]
         red = [v for v in adj_leaves if c.is_red(v)]
         blue = [v for v in adj_leaves if not c.is_red(v)]
         if len(red) > len(blue):
@@ -320,11 +312,7 @@ def tree_all_pairs_construct(t: Graph) -> tuple[int, ...]:
     profile = tree_profile(t)
     if t.n < 5:
         raise NotATree("construction needs a tree on at least 5 vertices")
-    leaf_set = set(profile.leaves)
-    removed = set()
-    for u in profile.supports:
-        v = next(x for x in t.neighbors(u) if x in leaf_set)
-        removed.add(v)
+    removed = {profile.leaves_of[u][0] for u in profile.supports}
     out = tuple(v for v in range(t.n) if v not in removed)
     certify(None if len(out) == t.n - profile.support_count else "|S| != n - s")
     certify(verify_separating(t, out))

@@ -49,6 +49,23 @@ def is_separating(g: Graph, subset) -> bool:
     return len(set(codes)) == g.n
 
 
+def brute_rb_set_system(g: Graph, c: Coloring):
+    """Red-blue set-cover instance as (pair labels, (vertex, pair ids) rows).
+
+    Pairs (r, b) run red-major, both ascending; vertex v covers pair (r, b)
+    iff v lies in exactly one of N[r] and N[b].
+    """
+    nb = closed_sets(g)
+    reds = [v for v in range(g.n) if c.is_red(v)]
+    blues = [v for v in range(g.n) if not c.is_red(v)]
+    pairs = tuple((r, b) for r in reds for b in blues)
+    sets = tuple(
+        (v, tuple(i for i, (r, b) in enumerate(pairs) if (v in nb[r]) != (v in nb[b])))
+        for v in range(g.n)
+    )
+    return pairs, sets
+
+
 def brute_rb_twin_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
     """Smallest (u, v), u < v, with opposite colors and N[u] = N[v], or None."""
     nb = closed_sets(g)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_cover_optimum,
+    brute_rb_set_system,
     brute_rb_twin_pair,
     complete_bipartite,
     cycle_graph,
@@ -64,6 +65,25 @@ def test_reduce_p3_worked_example():
     sys_ = reduce_rb_to_set_cover(path_graph(3), Coloring.from_string("RBB"))
     assert sys_.element_labels == ((0, 1), (0, 2))
     assert sys_.sets == ((0, (1,)), (1, ()), (2, (0, 1)))
+
+
+def test_reduce_matches_pair_membership_oracle():
+    rng = random.Random(9)
+    done = 0
+    while done < 120:
+        n = rng.randint(1, 10)
+        p = rng.choice((0.2, 0.4, 0.6))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        c = Coloring(n, rng.randrange(1 << n))
+        try:
+            sys_ = reduce_rb_to_set_cover(g, c)
+        except Unseparable:
+            continue
+        labels, sets = brute_rb_set_system(g, c)
+        assert (sys_.universe_size, sys_.element_labels, sys_.sets) == (len(labels), labels, sets)
+        done += 1
 
 
 def test_reduce_unseparable():

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from rbsep.cli import main
+from rbsep.generators import MAX_SPEC_EDGES
 from rbsep.graphs import Coloring
 from rbsep.io import MAX_GRAPH_ORDER, read_coloring, read_graph, write_coloring, write_graph
 
@@ -314,4 +315,19 @@ def test_experiment_size_outside_graph_orders_exits_input(tmp_path, capsys, size
     argv = ["experiment", "--suite", "ratio", "--sizes", f"5,{size}", "--out", str(out)]
     assert main(argv) == 2
     assert f"graph order {size} is outside 1..{MAX_GRAPH_ORDER}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [1415, 3000])
+def test_experiment_size_over_edge_bound_exits_input(tmp_path, capsys, monkeypatch, size):
+    # G(1415, 0.4) draws from 1415 * 1414 / 2 > MAX_SPEC_EDGES vertex pairs.
+    def started(*args):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr("rbsep.cli._experiment_fuzz", started)
+    out = tmp_path / "fuzz.csv"
+    argv = ["experiment", "--suite", "fuzz", "--sizes", f"5,{size}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"graph order {size} has more than {MAX_SPEC_EDGES} vertex pairs" in err
     assert not out.exists()

@@ -130,8 +130,8 @@ def test_tree_rb_construct_random_with_accounting():
         t = gen_random_tree(n, rng.randrange(1 << 30))
         prof = tree_profile(t)
         ns3 = ns3_vertices(t, prof)
-        l1 = prof.l_class(1, t)
-        lp = prof.l_plus(t)
+        l1 = prof.l_class(1)
+        lp = prof.l_plus
         sp = prof.s_plus
         for _ in range(4):
             c = Coloring(n, rng.randrange(1 << n))
@@ -189,3 +189,104 @@ def test_maxsep_within_tree_bounds():
         value = maxsep_exact(t).value
         assert value <= min(n - prof.support_count, (n + prof.support_count) / 2)
         assert value <= 2 * n / 3
+
+
+def test_tree_rb_construct_four_leaf_top_up():
+    # Support 0 has four leaves; the colorings where dropping its majority
+    # leaves fewer than two of its neighbours chosen re-add leaves of 0.
+    t = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7)])
+    prof = tree_profile(t)
+    for mask in range(1 << t.n):
+        c = Coloring(t.n, mask)
+        s = tree_rb_construct(t, c)
+        assert verify_rb_separating(t, c, s) is None
+        assert 2 * len(s) <= t.n + prof.support_count
+
+
+# (n, tree seed, coloring, tree_rb_construct, tree_all_pairs_construct, then
+# parity_sets C1 and C2 rooted at the lowest non-leaf), from gen_random_tree.
+PINNED_TREES = [
+    (
+        34, 999975904, "RBBRRRRBRRBRBRRBRBRRRBBRBBBBRRBBRB",
+        "1 3 6 8 9 11 15 16 17 19 20 21 22 23 24 25 26 27 28 29 31 32",
+        "1 4 5 7 8 10 11 13 14 15 16 19 21 24 25 27 28 29 30 31 32",
+        "0 1 2 3 4 5 7 8 10 11 12 13 14 15 18 19 21 24 29 30 31 32 33",
+        "1 3 6 8 9 10 11 15 16 17 19 20 21 22 23 24 25 26 27 28 31 32",
+    ),
+    (
+        38, 1021693763, "RRBBRBRBBBBRBBBRBBBBBBBBRRBRBBRRRRRBRB",
+        "0 1 3 4 5 7 9 10 11 12 14 17 18 20 22 25 27 30 31 35 36 37",
+        "0 3 4 5 7 10 11 13 14 15 17 18 19 20 22 23 24 27 28 30 31 32 33 34 35 36 37",
+        "1 2 3 4 7 9 10 11 12 14 17 18 20 21 22 23 25 27 28 30 31 34 35 36 37",
+        "0 1 2 4 5 6 7 8 10 13 14 15 16 18 19 21 23 24 26 27 28 29 32 33 34 37",
+    ),
+    (
+        12, 959051491, "RBRBRRBRRBBR",
+        "0 2 3 4 6 7 9 11",
+        "2 3 4 5 7 9 10",
+        "1 2 4 5 8 9 10",
+        "0 2 3 4 6 7 9 11",
+    ),
+    (
+        15, 194713490, "BBBRRRBRBRBRBBB",
+        "1 2 4 7 8 10 11 12 14",
+        "0 2 4 5 6 8 9 11 12 13 14",
+        "1 2 3 4 7 8 10 11 12",
+        "0 3 5 6 8 9 11 12 13 14",
+    ),
+    (
+        31, 972799061, "RRRBBRRBBBBRBBBRRBBBRBRBBBBRBRB",
+        "0 1 2 3 5 6 7 8 11 15 18 23 25 26 27 28 29 30",
+        "0 1 2 3 6 8 10 12 15 16 19 21 22 23 24 25 26 27 28 29 30",
+        "1 3 4 6 9 10 12 13 14 15 16 17 19 20 21 22 24 25 26 28 29",
+        "0 1 2 3 5 6 7 8 9 10 11 15 18 23 25 26 27 28 29 30",
+    ),
+    (
+        6, 135645637, "RRRBBB",
+        "1 2 3 5",
+        "0 1 4 5",
+        "1 2 3 4",
+        "0 1 3 4 5",
+    ),
+    (
+        8, 408469125, "RRBRRRRB",
+        "1 2 3 4 6",
+        "1 2 3 4 5 6",
+        "0 2 3 4 5 6",
+        "0 1 4 5 7",
+    ),
+    (
+        7, 996291671, "RRBBRBR",
+        "2 3 5 6",
+        "0 3 4 5 6",
+        "1 2 3 4 6",
+        "0 1 3 4 5 6",
+    ),
+    (
+        34, 419449461, "BBBBBRRBRBBBRBRBRBRBBRRRBBRBBBBRRB",
+        "0 1 2 3 4 5 8 11 12 14 15 18 19 20 22 24 25 27 28 29 31",
+        "0 1 3 5 6 8 11 12 13 16 17 18 19 20 22 23 24 25 26 28 31 33",
+        "0 2 3 6 7 9 10 12 13 16 17 18 19 20 21 22 23 24 25 26 28 30 31 32 33",
+        "0 1 2 3 4 5 6 7 8 11 12 13 14 15 16 17 18 19 22 25 27 28 29 31",
+    ),
+    (
+        24, 1073254676, "RBRRRBBBBRBRRBRBBRBBBBBB",
+        "0 1 2 3 4 5 7 10 13 14 15 17 18 19 22",
+        "2 3 4 8 9 10 11 12 14 16 17 18 19 20 21",
+        "0 1 2 3 4 5 7 10 13 14 15 17 18 19 22",
+        "2 3 4 6 8 9 10 11 12 14 16 17 18 20 21 23",
+    ),
+]
+
+
+@pytest.mark.parametrize("n, seed, coloring, rb, all_pairs, c1, c2", PINNED_TREES)
+def test_tree_constructions_are_pinned(n, seed, coloring, rb, all_pairs, c1, c2):
+    t = gen_random_tree(n, seed)
+    x = next(v for v in range(n) if t.degree(v) > 1)
+    assert _spaced(tree_rb_construct(t, Coloring.from_string(coloring))) == rb
+    assert _spaced(tree_all_pairs_construct(t)) == all_pairs
+    assert tuple(map(_spaced, parity_sets(t, x))) == (c1, c2)
+
+
+def _spaced(s: tuple[int, ...]) -> str:
+    return " ".join(map(str, s))
