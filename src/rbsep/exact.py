@@ -21,17 +21,18 @@ masks, so its bitset of red-blue pairs is both the greedy's universe and the
 exact kernel's ``rest``.
 
 All solvers are single-threaded and reentrant: they share no mutable state,
-so callers may run many instances in parallel. Inside the worst-coloring
-sweep the colorings are independent; the incumbent bound is only a pruning
-hint, so the loop could be partitioned across workers without affecting
-correctness.
+so callers may run many instances in parallel. The worst-coloring sweep
+carries its incumbent and its cache of separating sets from coloring to
+coloring, so each partition of its loop across workers would need its own.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily
@@ -221,8 +222,12 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     symmetry halves the space) in Gray-code order, after the bipartite-parity
     coloring. Pairs are numbered once, in ``hitting.by_size`` order of their
     difference masks; the greedy and the exact kernel read the same bitset of
-    red-blue pair ids. The greedy gives each coloring a cheap upper bound;
-    only colorings where it exceeds the incumbent pay for exact decisions.
+    red-blue pair ids. For every set of size at most the incumbent that the
+    greedy or a decision finds, the sweep caches the pairs it leaves
+    unseparated, and skips a coloring whose red-blue pairs avoid one such
+    miss: its cost cannot exceed the incumbent. The greedy gives every other
+    coloring an upper bound; only where it exceeds the incumbent do exact
+    decisions run.
 
     Requires a twin-free graph of order at most ``n_cap``.
     """
@@ -242,10 +247,19 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     stats = [0]
     best = 0
     best_red = _parity_preseed_mask(g)
+    everything = (1 << len(pairs)) - 1
+    misses: list[int] = []  # per set found so far: the pairs it leaves unseparated
     for red, active in _sweep_order(flips, best_red):
-        if len(greedy_hitting_set(cols, active)) > best:
-            while hitting_set_within(verts, cols, active, best, stats) is None:
-                best, best_red = best + 1, red
+        for miss in reversed(misses):
+            if not active & miss:
+                break
+        else:
+            found = greedy_hitting_set(cols, active)
+            if len(found) > best:
+                while (within := hitting_set_within(verts, cols, active, best, stats)) is None:
+                    best, best_red = best + 1, red
+                found = bits_of(within)
+            misses.append(everything & ~reduce(or_, (cols[v] for v in found), 0))
 
     return MaxSepReport(best, Coloring(n, best_red), 1 << (n - 1))
 

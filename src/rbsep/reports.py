@@ -10,7 +10,6 @@ input files and checks every claimed witness against the verifiers again.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -33,6 +32,8 @@ FORMAT = "rbsep-report/1"
 
 
 def file_digest(path: str | Path) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, about 3.6 MB resident
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -111,6 +111,38 @@ def brute_maxsep(g: Graph) -> int:
     return best
 
 
+def brute_parity_coloring(g: Graph) -> Coloring:
+    """Red = odd BFS layers, each component layered from its lowest vertex."""
+    nb = closed_sets(g)
+    layer: dict[int, int] = {}
+    for root in range(g.n):
+        if root in layer:
+            continue
+        layer[root] = 0
+        queue = [root]
+        for v in queue:
+            for w in sorted(nb[v] - layer.keys()):
+                layer[w] = layer[v] + 1
+                queue.append(w)
+    return Coloring.from_red(g.n, [v for v in range(g.n) if layer[v] % 2])
+
+
+def brute_maxsep_sweep(g: Graph) -> tuple[int, Coloring]:
+    """The worst-coloring sweep's (value, worst coloring), with no pruning.
+
+    The sweep visits the parity coloring first, then every coloring with
+    vertex 0 blue but the all-blue one in Gray-code order: step i colors red
+    the vertices 1 + j for the set bits j of i xor (i >> 1). Its worst
+    coloring is the first one visited whose cost is ``brute_maxsep(g)``.
+    """
+    value = brute_maxsep(g)
+    steps = (Coloring(g.n, (i ^ i >> 1) << 1) for i in range(1, 1 << (g.n - 1)))
+    for c in (brute_parity_coloring(g), *steps):
+        if brute_min_rb_sep(g, c)[0] == value:
+            return value, c
+    raise AssertionError("the sweep visits every coloring or its color swap")
+
+
 def brute_cover_optimum(universe_size: int, sets: list[tuple[int, ...]]) -> int:
     """Exact set-cover optimum by enumeration over set combinations."""
     full = frozenset(range(universe_size))

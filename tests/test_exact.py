@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     brute_maxsep,
+    brute_maxsep_sweep,
     brute_min_dom,
     brute_min_rb_sep,
     brute_min_sep,
@@ -37,6 +38,7 @@ from rbsep.graphs import (
     verify_rb_separating,
     verify_separating,
 )
+from rbsep.hitting import greedy_hitting_set
 
 
 def test_sep_rb_exact_p6_single_separator_coloring():
@@ -138,6 +140,40 @@ def test_maxsep_matches_double_brute_force():
             continue
         assert maxsep_exact(g).value == brute_maxsep(g)
         done += 1
+
+
+@pytest.mark.parametrize("seed", range(28))
+def test_maxsep_matches_the_sweep_oracle(seed):
+    # The witness cache skips colorings; value and worst coloring must be
+    # those of a sweep that skips none. n = 3..9, trees and G(n, 0.4).
+    n = 3 + seed % 7
+    g = gen_random_tree(n, seed) if seed % 2 else gen_random_twin_free(n, 0.4, seed)
+    report = maxsep_exact(g)
+    value, worst = brute_maxsep_sweep(g)
+    assert (report.value, report.worst_coloring) == (value, worst)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_maxsep_cache_skips_most_greedy_runs(monkeypatch, seed):
+    calls = []
+
+    def counted(cols, universe):
+        calls.append(universe)
+        return greedy_hitting_set(cols, universe)
+
+    monkeypatch.setattr(rbsep.exact, "greedy_hitting_set", counted)
+    g = gen_random_twin_free(12, 0.3, seed) if seed % 2 else gen_random_tree(12, seed)
+    assert maxsep_exact(g).per_coloring_count == 2048
+    assert len(calls) <= 2048 // 8
+
+
+@pytest.mark.parametrize(
+    "seed, value, worst",
+    [(0, 7, "BBRRRRRRRBBBBBBB"), (1, 8, "BRRBBRRBBRRBBBBB"), (2, 8, "BRRRBRRRBRBRBBBR")],
+)
+def test_maxsep_16_vertex_trees_are_pinned(seed, value, worst):
+    report = maxsep_exact(gen_random_tree(16, seed), n_cap=16)
+    assert (report.value, report.worst_coloring.to_string()) == (value, worst)
 
 
 def test_maxsep_cap():

@@ -2,13 +2,19 @@
 
 Each case runs ``rbsep.cli.main`` with ``--out`` on one fixed 7-vertex tree
 and compares the JSON it writes, with the timings and the command echo
-removed, against the record the CLI has always written for it.
+removed, against the record the CLI has always written for it. One more
+checks that ``hashlib`` is loaded only to hash a report's inputs.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbsep
 from rbsep.cli import main
 
 GRAPH = "7 6\n0 1\n1 2\n2 3\n1 4\n4 5\n5 6\n"
@@ -159,3 +165,15 @@ def test_record_writes_nested_results_as_json_values():
         "n": 3, "sep": 2, "maxsep": 1, "gamma": 1, "max_degree": 2, "support_count": None,
         "checks": [{"name": "maxsep_le_sep", "lhs": 1, "rhs": 2, "holds": True, "note": ""}],
     }
+
+
+def test_hashlib_loads_only_when_a_report_is_hashed():
+    # hashlib loads OpenSSL, several MB resident; only file_digest needs it.
+    code = "import sys, rbsep, rbsep.cli, rbsep.io; print('hashlib' in sys.modules)"
+    src = str(Path(rbsep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert out.stdout == "False\n"
