@@ -52,8 +52,6 @@ from .graphs import (
     Graph,
     GraphProfile,
     TwinReport,
-    closed_neighborhood,
-    code_of,
     graph_profile,
     twin_classes,
     verify_dominating,

@@ -3,7 +3,8 @@
 Subcommands: solve, maxsep, bounds, generate, reduce, verify, experiment.
 Exit codes: 0 success; 1 infeasible/unseparable/invalid (a mathematical
 answer, not a failure); 2 malformed input or violated precondition;
-3 cap exceeded, or a search too deep for Python's recursion limit.
+3 cap exceeded, or a search too deep for Python's recursion limit
+(SearchTooDeep).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     FormatError,
     Infeasible,
     RBSepError,
+    SearchTooDeep,
     Unseparable,
 )
 from .graphs import Coloring, violation
@@ -378,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         _emit(f"cap exceeded: {exc}")
         return EXIT_CAP
-    except RecursionError:
-        _emit("search too deep to finish: Python's recursion limit was reached")
+    except SearchTooDeep as exc:
+        _emit(f"search too deep to finish: {exc}")
         return EXIT_CAP
     except (FormatError, RBSepError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,7 +2,7 @@
 
 Solvers and constructions raise these instead of returning sentinel values;
 the CLI maps them onto exit codes (infeasible/unseparable answers are exit 1,
-malformed inputs exit 2, exceeded caps exit 3).
+malformed inputs exit 2, exceeded caps and too-deep searches exit 3).
 """
 
 from __future__ import annotations
@@ -55,6 +55,21 @@ class CapExceeded(RBSepError):
         self.n = n
         self.cap = cap
         super().__init__(f"graph order {n} exceeds cap {cap}")
+
+
+class SearchTooDeep(RBSepError):
+    """The exact search needs more nested calls than Python's recursion limit.
+
+    Every size below ``depth`` was refuted, so the optimum is at least
+    ``depth``; the search at that size did not finish.
+    """
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        super().__init__(
+            f"no set of size below {depth} exists, and a search at size {depth} "
+            "exceeds Python's recursion limit"
+        )
 
 
 class NotTriangleFree(RBSepError):

@@ -20,10 +20,21 @@ The worst-coloring sweep numbers them in ``hitting.by_size`` order of their
 masks, so its bitset of red-blue pairs is both the greedy's universe and the
 exact kernel's ``rest``.
 
+The sweep orders the colorings by the reflected binary Gray code (Knuth,
+TAOCP 4A, 7.2.1.1) and takes them in blocks of up to 2^16 steps: per block,
+each vertex has one bitset whose bit r says whether it is red at step r of
+the block. A set S separates every coloring that is constant on each code
+class of S, so the sweep caches the consecutive pairs of the classes of each
+set it finds, and a set covers the steps at which both ends of each of its
+pairs have one color: an AND of XORs over a whole block. Only the lowest
+step no cached set covers is solved, one at a time.
+
 All solvers are single-threaded and reentrant: they share no mutable state,
-so callers may run many instances in parallel. The worst-coloring sweep
-carries its incumbent and its cache of separating sets from coloring to
-coloring, so each partition of its loop across workers would need its own.
+so callers may run many instances in parallel. The sweep carries its
+incumbent and its cache from block to block. Split across workers, each
+would take whole blocks with its own cache, starting from the parity
+coloring: maxsep is the largest incumbent, and the worst coloring is that of
+the first worker, in block order, to reach it.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily
@@ -64,6 +75,7 @@ __all__ = [
 ]
 
 MAXSEP_DEFAULT_CAP = 14
+_BLOCK_BITS = 16  # the sweep's bitsets span at most 2^16 Gray steps (8 KiB)
 
 
 @dataclass(frozen=True)
@@ -200,34 +212,63 @@ def _parity_preseed_mask(g: Graph) -> int:
     return red
 
 
-def _sweep_order(flips: list[int], first: int) -> Iterator[tuple[int, int]]:
-    # (red mask, red-blue pair ids) of ``first``, then of every coloring with
-    # vertex 0 blue but all-blue, in Gray-code order with one XOR per flip.
-    active = 0
-    for w in bits_of(first):
-        active ^= flips[w]
-    yield first, active
-    red = active = 0
-    for step in range(1, 1 << (len(flips) - 1)):
-        w = (step & -step).bit_length()  # Gray code flips vertex tz(step)+1
-        red ^= 1 << w
-        active ^= flips[w]
-        yield red, active
+def _gray_blocks(n: int, b: int) -> Iterator[list[int]]:
+    # Block t of the Gray steps s = t*2^b + r, r < 2^b: column w has bit r set
+    # iff w is red at step s, i.e. bit w-1 of s ^ (s >> 1); vertex 0 is blue.
+    size = 1 << b
+    full = (1 << size) - 1
+    base = []
+    for j in range(b):
+        # Bit j of the reflected code: 2^j zeros, 2^(j+1) ones, 2^j zeros.
+        col, period = ((1 << (2 << j)) - 1) << (1 << j), 4 << j
+        while period < size:
+            col |= col << period
+            period <<= 1
+        base.append(col & full)
+    for t in range(1 << (n - 1 - b)):
+        gray = t ^ t >> 1  # bits of s above b - 1 are those of t
+        last = [base[-1] ^ (full if t & 1 else 0)] if b else []
+        high = [full if gray >> i & 1 else 0 for i in range(n - 1 - b)]
+        yield [0, *base[:-1], *last, *high]
+
+
+def _class_pairs(closed: list[int], found: Iterable[int]) -> list[tuple[int, int]]:
+    # Consecutive vertices of each code class of ``found``: a coloring is
+    # separated by ``found`` iff no such pair is red-blue.
+    chosen = mask_of(found)
+    last: dict[int, int] = {}
+    pairs = []
+    for v, nbhd in enumerate(closed):
+        code = nbhd & chosen
+        if code in last:
+            pairs.append((last[code], v))
+        last[code] = v
+    return pairs
+
+
+def _covered(pairs: list[tuple[int, int]], reds: list[int], full: int) -> int:
+    # Steps of the block whose coloring is constant on every pair's class.
+    out = full
+    for u, v in pairs:
+        out &= ~(reds[u] ^ reds[v])
+        if not out:
+            break
+    return out
 
 
 def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     """Maximum of sep_RB(g, c) over all red-blue colorings c.
 
-    Enumerates the 2^(n-1) colorings with vertex 0 fixed blue (color-swap
+    Sweeps the 2^(n-1) colorings with vertex 0 fixed blue (color-swap
     symmetry halves the space) in Gray-code order, after the bipartite-parity
     coloring. Pairs are numbered once, in ``hitting.by_size`` order of their
     difference masks; the greedy and the exact kernel read the same bitset of
-    red-blue pair ids. For every set of size at most the incumbent that the
-    greedy or a decision finds, the sweep caches the pairs it leaves
-    unseparated, and skips a coloring whose red-blue pairs avoid one such
-    miss: its cost cannot exceed the incumbent. The greedy gives every other
-    coloring an upper bound; only where it exceeds the incumbent do exact
-    decisions run.
+    red-blue pair ids. Each set the greedy or a decision finds has size at
+    most the incumbent, so no coloring it separates can raise the incumbent:
+    the sweep skips every step of a block that some cached set covers, and
+    solves the lowest step left. That step gets a greedy bound; only where
+    the bound exceeds the incumbent do exact decisions run. Each bitset spans
+    at most 2^16 steps, whatever n is.
 
     Requires a twin-free graph of order at most ``n_cap``.
     """
@@ -246,20 +287,32 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
 
     stats = [0]
     best = 0
+    cache: list[list[tuple[int, int]]] = []  # class pairs of each set found so far
+
+    def solve(red: int) -> None:
+        # Bound the coloring ``red``, raise the incumbent if it costs more,
+        # and cache the class pairs of the set that separates it.
+        nonlocal best, best_red
+        active = reduce(xor, (flips[w] for w in bits_of(red)), 0)
+        found = greedy_hitting_set(cols, active)
+        if len(found) > best:
+            while (within := hitting_set_within(verts, cols, active, best, stats)) is None:
+                best, best_red = best + 1, red
+            found = bits_of(within)
+        cache.append(_class_pairs(closed, found))
+
     best_red = _parity_preseed_mask(g)
-    everything = (1 << len(pairs)) - 1
-    misses: list[int] = []  # per set found so far: the pairs it leaves unseparated
-    for red, active in _sweep_order(flips, best_red):
-        for miss in reversed(misses):
-            if not active & miss:
-                break
-        else:
-            found = greedy_hitting_set(cols, active)
-            if len(found) > best:
-                while (within := hitting_set_within(verts, cols, active, best, stats)) is None:
-                    best, best_red = best + 1, red
-                found = bits_of(within)
-            misses.append(everything & ~reduce(or_, (cols[v] for v in found), 0))
+    solve(best_red)
+    b = min(n - 1, _BLOCK_BITS)
+    full = (1 << (1 << b)) - 1
+    for t, reds in enumerate(_gray_blocks(n, b)):
+        # Every set covers step 0, the all-blue coloring, so it is never solved.
+        todo = full & ~reduce(or_, (_covered(p, reds, full) for p in cache), 0)
+        while todo:
+            low = todo & -todo
+            step = t << b | low.bit_length() - 1
+            solve((step ^ step >> 1) << 1)
+            todo &= ~_covered(cache[-1], reds, full)  # includes ``low``
 
     return MaxSepReport(best, Coloring(n, best_red), 1 << (n - 1))
 

@@ -37,8 +37,6 @@ __all__ = [
     "bits_of",
     "mask_of",
     "bfs_parity",
-    "closed_neighborhood",
-    "code_of",
     "twin_classes",
     "require_twin_free",
     "require_coloring",
@@ -214,20 +212,6 @@ class TwinReport:
     @property
     def is_twin_free(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
-
-
-def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
-    """Return N[v] = {v} plus the neighbors of v, ascending."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range")
-    return bits_of(g.closed[v])
-
-
-def code_of(g: Graph, s: Iterable[int], v: int) -> tuple[int, ...]:
-    """Return the code of v with respect to s, i.e. N[v] & s, ascending."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range")
-    return bits_of(g.closed[v] & _set_mask(g, s))
 
 
 def twin_classes(g: Graph) -> TwinReport:

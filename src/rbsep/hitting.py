@@ -21,6 +21,7 @@ ties toward the lowest vertex index, so results are deterministic.
 
 from __future__ import annotations
 
+from .errors import SearchTooDeep
 from .graphs import bits_of
 
 __all__ = ["by_size", "columns", "greedy_hitting_set", "minimum_hitting_set", "hitting_set_within"]
@@ -92,6 +93,8 @@ def minimum_hitting_set(
 
     Raises ValueError on an empty mask (nothing can hit it); callers are
     expected to translate that situation into their own twin errors first.
+    The search recurses once per chosen vertex: raises SearchTooDeep, with
+    the smallest size not refuted, when that exceeds the recursion limit.
     """
     if stats is None:
         stats = [0]
@@ -103,7 +106,10 @@ def minimum_hitting_set(
     rest = (1 << len(distinct)) - 1
     hi = len(distinct) if budget is None else min(budget, len(distinct))
     for k in range(hi + 1):
-        found = _search(verts, cols, rest, k, stats)
+        try:
+            found = _search(verts, cols, rest, k, stats)
+        except RecursionError:
+            raise SearchTooDeep(k) from None
         if found is not None:
             return found
     return None

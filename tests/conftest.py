@@ -3,7 +3,10 @@
 The oracles deliberately avoid the package's bitmask machinery: they work
 on frozensets built straight from the adjacency structure and enumerate
 subsets in ascending size, so they exercise a different code path than the
-branch-and-bound solvers they certify.
+branch-and-bound solvers they certify. ``cached_sweep_universes`` is the
+exception: it pins which colorings the worst-coloring sweep solves, so it
+replays the one-coloring-at-a-time sweep with the package's own greedy and
+kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from itertools import combinations
 
 from rbsep.graphs import Coloring, Graph
+from rbsep.hitting import by_size, columns, greedy_hitting_set, hitting_set_within
 
 
 def path_graph(n: int) -> Graph:
@@ -32,6 +36,18 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def closed_sets(g: Graph) -> list[frozenset[int]]:
     return [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
+
+
+def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
+    """N[v] = {v} plus the neighbors of v, ascending."""
+    if not 0 <= v < g.n:
+        raise IndexError(f"vertex {v} out of range")
+    return tuple(sorted(closed_sets(g)[v]))
+
+
+def code_of(g: Graph, s, v: int) -> tuple[int, ...]:
+    """The code of v with respect to s, i.e. N[v] & s, ascending."""
+    return tuple(sorted(frozenset(closed_neighborhood(g, v)) & frozenset(s)))
 
 
 def is_rb_separating(g: Graph, c: Coloring, subset) -> bool:
@@ -141,6 +157,47 @@ def brute_maxsep_sweep(g: Graph) -> tuple[int, Coloring]:
         if brute_min_rb_sep(g, c)[0] == value:
             return value, c
     raise AssertionError("the sweep visits every coloring or its color swap")
+
+
+def cached_sweep_universes(g: Graph) -> list[int]:
+    """Universes the witness-cached sweep hands the greedy, one coloring at a time.
+
+    The sweep visits the parity coloring, then the Gray steps of
+    ``brute_maxsep_sweep``. Pairs are numbered in ``by_size`` order of their
+    difference masks, and a coloring's universe is the bitset of its
+    red-blue pair ids. A coloring is skipped when its red-blue pairs avoid
+    the pairs left unseparated by a set found at an earlier coloring.
+    Otherwise the greedy runs, and when its set is larger than the
+    incumbent, the decision climb raises the incumbent until a set within
+    it is found; that set, or else the greedy's, is cached.
+    """
+    nb = closed_sets(g)
+    pairs = sorted(
+        combinations(range(g.n), 2),
+        key=lambda p: by_size(g.closed[p[0]] ^ g.closed[p[1]]),
+    )
+    verts = [tuple(sorted(nb[u] ^ nb[w])) for u, w in pairs]
+    cols = columns(verts, g.n)
+    everything = (1 << len(pairs)) - 1
+    steps = (Coloring(g.n, (i ^ i >> 1) << 1) for i in range(1, 1 << max(g.n - 1, 0)))
+    best = 0
+    misses: list[int] = []
+    universes = []
+    for c in (brute_parity_coloring(g), *steps):
+        active = sum(1 << i for i, (u, w) in enumerate(pairs) if c.is_red(u) != c.is_red(w))
+        if any(not active & miss for miss in misses):
+            continue
+        universes.append(active)
+        found = greedy_hitting_set(cols, active)
+        if len(found) > best:
+            while (within := hitting_set_within(verts, cols, active, best, [0])) is None:
+                best += 1
+            found = [v for v in range(g.n) if within >> v & 1]
+        hit = 0
+        for v in found:
+            hit |= cols[v]
+        misses.append(everything & ~hit)
+    return universes
 
 
 def brute_cover_optimum(universe_size: int, sets: list[tuple[int, ...]]) -> int:

@@ -14,13 +14,24 @@ from conftest import (
     brute_min_dom,
     brute_min_rb_sep,
     brute_min_sep,
+    cached_sweep_universes,
+    closed_neighborhood,
     complete_bipartite,
     cycle_graph,
     path_graph,
 )
 import rbsep
-from rbsep.errors import CapExceeded, CertificationError, Infeasible, NotTwinFree, Unseparable
+from rbsep.errors import (
+    CapExceeded,
+    CertificationError,
+    Infeasible,
+    NotTwinFree,
+    RBSepError,
+    SearchTooDeep,
+    Unseparable,
+)
 from rbsep.exact import (
+    _gray_blocks,
     all_pairs_difference_masks,
     bondy_remove,
     gamma_exact,
@@ -34,7 +45,6 @@ from rbsep.generators import gen_half_graph_complement, gen_random_tree, gen_ran
 from rbsep.graphs import (
     Coloring,
     Graph,
-    closed_neighborhood,
     verify_rb_separating,
     verify_separating,
 )
@@ -112,6 +122,16 @@ def test_gamma_exact_values():
     assert gamma_exact(complete_bipartite(5, 5)).optimum == 2
 
 
+def test_gamma_too_deep_raises_search_too_deep():
+    # gamma of an edgeless graph is its order. The packing bound refutes
+    # every smaller size at the root; the search at size 1100 needs 1100
+    # nested calls, more than the default recursion limit.
+    with pytest.raises(SearchTooDeep) as info:
+        gamma_exact(Graph.from_edges(1100, []))
+    assert isinstance(info.value, RBSepError)
+    assert info.value.depth == 1100
+
+
 def test_gamma_matches_brute_force():
     rng = random.Random(4)
     for _ in range(25):
@@ -153,18 +173,61 @@ def test_maxsep_matches_the_sweep_oracle(seed):
     assert (report.value, report.worst_coloring) == (value, worst)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_maxsep_cache_skips_most_greedy_runs(monkeypatch, seed):
+def _greedy_universes(monkeypatch, g: Graph) -> tuple[rbsep.MaxSepReport, list[int]]:
     calls = []
 
-    def counted(cols, universe):
+    def recording(cols, universe):
         calls.append(universe)
         return greedy_hitting_set(cols, universe)
 
-    monkeypatch.setattr(rbsep.exact, "greedy_hitting_set", counted)
+    monkeypatch.setattr(rbsep.exact, "greedy_hitting_set", recording)
+    return maxsep_exact(g), calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_maxsep_cache_skips_most_greedy_runs(monkeypatch, seed):
     g = gen_random_twin_free(12, 0.3, seed) if seed % 2 else gen_random_tree(12, seed)
-    assert maxsep_exact(g).per_coloring_count == 2048
+    report, calls = _greedy_universes(monkeypatch, g)
+    assert report.per_coloring_count == 2048
     assert len(calls) <= 2048 // 8
+
+
+@pytest.mark.parametrize("block_bits", [16, 1, 2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_maxsep_solves_the_colorings_of_the_cached_sweep(monkeypatch, seed, block_bits):
+    # The block sweep must hand the greedy the universes of the one-at-a-time
+    # cached sweep, in its order; small blocks run the multi-block path.
+    # n = 3..12, trees and twin-free G(n, 0.3).
+    monkeypatch.setattr(rbsep.exact, "_BLOCK_BITS", block_bits)
+    n = 3 + seed // 2
+    g = gen_random_tree(n, seed) if seed % 2 else gen_random_twin_free(n, 0.3, seed)
+    assert _greedy_universes(monkeypatch, g)[1] == cached_sweep_universes(g)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_gray_blocks_match_the_reflected_code(n):
+    for b in range(n):
+        blocks = list(_gray_blocks(n, b))
+        assert len(blocks) == 1 << (n - 1 - b)
+        for t, reds in enumerate(blocks):
+            assert len(reds) == n and reds[0] == 0
+            for r in range(1 << b):
+                step = t << b | r
+                red = (step ^ step >> 1) << 1
+                assert [w >> r & 1 for w in reds] == [red >> w & 1 for w in range(n)]
+
+
+def test_maxsep_block_bitsets_stay_within_2_16_bits(monkeypatch):
+    widths = []
+
+    def recording(n, b):
+        for reds in _gray_blocks(n, b):
+            widths.append(max(w.bit_length() for w in reds))
+            yield reds
+
+    monkeypatch.setattr(rbsep.exact, "_gray_blocks", recording)
+    maxsep_exact(gen_random_tree(18, 0), n_cap=18)
+    assert len(widths) == 2 and max(widths) <= 1 << 16
 
 
 @pytest.mark.parametrize(

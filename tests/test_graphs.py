@@ -2,13 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_bipartite, cycle_graph, path_graph, star_graph
+from conftest import (
+    closed_neighborhood,
+    code_of,
+    complete_bipartite,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from rbsep.generators import gen_random_twin_free
 from rbsep.graphs import (
     Coloring,
     Graph,
-    closed_neighborhood,
-    code_of,
     graph_profile,
     twin_classes,
     verify_dominating,
