@@ -26,8 +26,11 @@ each vertex has one bitset whose bit r says whether it is red at step r of
 the block. A set S separates every coloring that is constant on each code
 class of S, so the sweep caches the consecutive pairs of the classes of each
 set it finds, and a set covers the steps at which both ends of each of its
-pairs have one color: an AND of XORs over a whole block. Only the lowest
-step no cached set covers is solved, one at a time.
+pairs have one color: an AND of XORs over a whole block. In blocks of 2^b
+steps, the bitsets of vertices below b are the same in every block, so each
+set keeps the AND over its pairs among them, and a block ANDs in only its
+other pairs. Only the lowest step no cached set covers is solved, one at a
+time.
 
 All solvers are single-threaded and reentrant: they share no mutable state,
 so callers may run many instances in parallel. The sweep carries its
@@ -136,9 +139,11 @@ def split_pairs(x: int, n: int) -> int:
     return out
 
 
-def _solve_masks(masks: list[int], budget: int | None, start: float) -> SolveReport:
+def _solve_masks(
+    masks: list[int], budget: int | None, start: float, classes: int = 0
+) -> SolveReport:
     stats = [0]
-    found = minimum_hitting_set(masks, budget=budget, stats=stats)
+    found = minimum_hitting_set(masks, budget=budget, stats=stats, classes=classes)
     if found is None:
         raise Infeasible(budget if budget is not None else -1)
     witness = bits_of(found)
@@ -186,7 +191,7 @@ def sep_exact_allow_twins(g: Graph) -> SolveReport:
     """
     start = time.perf_counter()
     masks = [d for d in all_pairs_difference_masks(g) if d]
-    out = _solve_masks(masks, None, start)
+    out = _solve_masks(masks, None, start, len(set(g.closed)))
     certify(verify_separating_allow_twins(g, out.witness))
     return out
 
@@ -232,23 +237,27 @@ def _gray_blocks(n: int, b: int) -> Iterator[list[int]]:
         yield [0, *base[:-1], *last, *high]
 
 
-def _class_pairs(closed: list[int], found: Iterable[int]) -> list[tuple[int, int]]:
+def _class_pairs(
+    closed: list[int], found: Iterable[int], b: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     # Consecutive vertices of each code class of ``found``: a coloring is
-    # separated by ``found`` iff no such pair is red-blue.
+    # separated by ``found`` iff no such pair is red-blue. Returns the pairs
+    # of two vertices below b, then the others.
     chosen = mask_of(found)
     last: dict[int, int] = {}
-    pairs = []
+    inner: list[tuple[int, int]] = []
+    outer: list[tuple[int, int]] = []
     for v, nbhd in enumerate(closed):
         code = nbhd & chosen
         if code in last:
-            pairs.append((last[code], v))
+            (inner if v < b else outer).append((last[code], v))
         last[code] = v
-    return pairs
+    return inner, outer
 
 
-def _covered(pairs: list[tuple[int, int]], reds: list[int], full: int) -> int:
-    # Steps of the block whose coloring is constant on every pair's class.
-    out = full
+def _covered(pairs: list[tuple[int, int]], reds: list[int], start: int) -> int:
+    # Steps of ``start`` whose coloring is constant on every pair's class.
+    out = start
     for u, v in pairs:
         out &= ~(reds[u] ^ reds[v])
         if not out:
@@ -287,11 +296,15 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
 
     stats = [0]
     best = 0
-    cache: list[list[tuple[int, int]]] = []  # class pairs of each set found so far
+    b = min(n - 1, _BLOCK_BITS)
+    full = (1 << (1 << b)) - 1
+    cache: list[tuple[int, list[tuple[int, int]]]] = []
 
-    def solve(red: int) -> None:
-        # Bound the coloring ``red``, raise the incumbent if it costs more,
-        # and cache the class pairs of the set that separates it.
+    def solve(red: int, reds: list[int]) -> tuple[int, list[tuple[int, int]]]:
+        # Bound the coloring ``red`` and raise the incumbent if it costs more.
+        # Cache the set that separates it as the steps its class pairs below
+        # vertex b cover, the same in every block (so are their columns), and
+        # its other class pairs.
         nonlocal best, best_red
         active = reduce(xor, (flips[w] for w in bits_of(red)), 0)
         found = greedy_hitting_set(cols, active)
@@ -299,20 +312,21 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
             while (within := hitting_set_within(verts, cols, active, best, stats)) is None:
                 best, best_red = best + 1, red
             found = bits_of(within)
-        cache.append(_class_pairs(closed, found))
+        inner, outer = _class_pairs(closed, found, b)
+        cache.append((_covered(inner, reds, full), outer))
+        return cache[-1]
 
     best_red = _parity_preseed_mask(g)
-    solve(best_red)
-    b = min(n - 1, _BLOCK_BITS)
-    full = (1 << (1 << b)) - 1
     for t, reds in enumerate(_gray_blocks(n, b)):
+        if not t:
+            solve(best_red, reds)
         # Every set covers step 0, the all-blue coloring, so it is never solved.
-        todo = full & ~reduce(or_, (_covered(p, reds, full) for p in cache), 0)
+        todo = full & ~reduce(or_, (_covered(outer, reds, inner) for inner, outer in cache), 0)
         while todo:
             low = todo & -todo
             step = t << b | low.bit_length() - 1
-            solve((step ^ step >> 1) << 1)
-            todo &= ~_covered(cache[-1], reds, full)  # includes ``low``
+            inner, outer = solve((step ^ step >> 1) << 1, reds)
+            todo &= ~_covered(outer, reds, inner)  # includes ``low``
 
     return MaxSepReport(best, Coloring(n, best_red), 1 << (n - 1))
 

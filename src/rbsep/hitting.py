@@ -12,10 +12,15 @@ hitting every mask v meets turns a bitset ``rest`` of mask ids into
 ``rest & ~cols[v]``; the exact search also reads ``verts``. It is
 iterative deepening (k = 0, 1, 2, ...) around a depth-limited branch and
 bound: branch on the vertices of the mask with the lowest id in ``rest``,
-prune with a greedy packing of pairwise-disjoint masks taken in id order. With one vertex left to pick the search decides without
-recursing: it returns the first pivot vertex whose column covers ``rest``.
-Ids numbered in ``by_size`` order make the pivot a smallest unhit mask, with
-ties toward the lowest vertex index, so results are deterministic.
+prune with a greedy packing of pairwise-disjoint masks taken in id order. With
+one vertex left to pick the search decides without recursing: it returns the
+first pivot vertex whose column covers ``rest``. Once the branch on a pivot
+vertex fails, the later siblings' subtrees exclude it (branch and exclude;
+Fomin and Kratsch, *Exact Exponential Algorithms*, 2010, ch. 2). Ids
+numbered in ``by_size`` order make the pivot a smallest unhit mask, with
+ties toward the lowest vertex index, so results are deterministic. Every
+rule cuts only subtrees with no set within the limit, so the set found is
+the first that plain depth-first search finds.
 ``greedy_hitting_set`` takes any bitset as its universe.
 """
 
@@ -34,20 +39,25 @@ def by_size(mask: int) -> tuple[int, int]:
 
 def columns(verts: list[tuple[int, ...]], n: int) -> list[int]:
     """Transpose ``verts``: bit i of ``cols[v]`` is set iff v is in ``verts[i]``."""
-    cols = [0] * n
-    for i, vs in enumerate(verts):
+    # Base-2 text per vertex, bit i at character len(verts) - i; char 0 is a pad.
+    rows = [bytearray(b"0" * (len(verts) + 1)) for _ in range(n)]
+    i = len(verts)
+    for vs in verts:
         for v in vs:
-            cols[v] |= 1 << i
-    return cols
+            rows[v][i] = 49  # ord("1")
+        i -= 1
+    return [int(row, 2) for row in rows]
 
 
 def _search(
-    verts: list[tuple[int, ...]], cols: list[int], rest: int, limit: int, stats: list[int]
+    verts: list[tuple[int, ...]], cols: list[int], rest: int, limit: int, stats: list[int],
+    classes: int = 0, banned: int = 0
 ) -> int | None:
+    """``hitting_set_within`` avoiding ``banned``; ``classes`` is ``minimum_hitting_set``'s."""
     stats[0] += 1
     if not rest:
         return 0
-    if limit <= 0:
+    if limit <= 0 or classes and classes << limit < 2 * rest.bit_count() + classes:
         return None
     pivot = verts[(rest & -rest).bit_length() - 1]
     if limit == 1:
@@ -66,9 +76,14 @@ def _search(
         for v in verts[(left & -left).bit_length() - 1]:
             left &= ~cols[v]
     for v in pivot:
-        sub = _search(verts, cols, rest & ~cols[v], limit - 1, stats)
+        if banned >> v & 1:
+            continue
+        sub = _search(verts, cols, rest & ~cols[v], limit - 1, stats, classes, banned)
         if sub is not None:
             return sub | 1 << v
+        # A set within ``limit`` that holds v would be in v's own branch,
+        # and a banned v covers no leaf's ``rest`` for the same reason.
+        banned |= 1 << v
     return None
 
 
@@ -87,7 +102,7 @@ def hitting_set_within(
 
 
 def minimum_hitting_set(
-    masks: list[int], budget: int | None = None, stats: list[int] | None = None
+    masks: list[int], budget: int | None = None, stats: list[int] | None = None, classes: int = 0
 ) -> int | None:
     """Smallest hitting set as a bitmask, or None if it exceeds ``budget``.
 
@@ -95,10 +110,18 @@ def minimum_hitting_set(
     expected to translate that situation into their own twin errors first.
     The search recurses once per chosen vertex: raises SearchTooDeep, with
     the smallest size not refuted, when that exceeds the recursion limit.
+
+    ``classes`` > 0 turns on the class-count bound, valid only for the
+    nonzero N[u] ^ N[w] of a graph with ``classes`` twin classes. Then the p
+    unhit masks are pairs of twin classes with equal codes, so some code
+    class holds c >= 2p/classes + 1 of them, and k more vertices split it
+    into at most 2^k parts: a node with ``classes << limit < 2p + classes``
+    holds no solution. Red-blue and domination masks pass 0 (off).
     """
     if stats is None:
         stats = [0]
-    distinct = sorted(set(masks), key=by_size)
+    distinct = sorted(set(masks))
+    distinct.sort(key=int.bit_count)  # stable: the ``by_size`` order
     if distinct and distinct[0] == 0:
         raise ValueError("empty mask cannot be hit")
     verts = [bits_of(m) for m in distinct]
@@ -107,7 +130,7 @@ def minimum_hitting_set(
     hi = len(distinct) if budget is None else min(budget, len(distinct))
     for k in range(hi + 1):
         try:
-            found = _search(verts, cols, rest, k, stats)
+            found = _search(verts, cols, rest, k, stats, classes)
         except RecursionError:
             raise SearchTooDeep(k) from None
         if found is not None:

@@ -380,7 +380,9 @@ def test_xp_solves_sparse_instances_past_the_old_subset_count(n, p, seed, reds):
 def test_xp_failed_bound_is_a_defect(monkeypatch):
     # No solution within the constructive bound contradicts the paper's
     # constructions, so it is not a "no" answer.
-    monkeypatch.setattr("rbsep.exact.minimum_hitting_set", lambda masks, budget, stats: None)
+    monkeypatch.setattr(
+        "rbsep.exact.minimum_hitting_set", lambda masks, budget, stats, classes: None
+    )
     with pytest.raises(CertificationError):
         xp_exact_small_class(path_graph(6), Coloring.from_string("RBBBBB"))
 

@@ -18,6 +18,7 @@ from conftest import (
     closed_neighborhood,
     complete_bipartite,
     cycle_graph,
+    first_dfs_hitting_set,
     path_graph,
 )
 import rbsep
@@ -45,10 +46,11 @@ from rbsep.generators import gen_half_graph_complement, gen_random_tree, gen_ran
 from rbsep.graphs import (
     Coloring,
     Graph,
+    bits_of,
     verify_rb_separating,
     verify_separating,
 )
-from rbsep.hitting import greedy_hitting_set
+from rbsep.hitting import by_size, greedy_hitting_set, minimum_hitting_set
 
 
 def test_sep_rb_exact_p6_single_separator_coloring():
@@ -111,7 +113,9 @@ def test_sep_allow_twins_complete_multipartite():
 
 
 def test_sep_allow_twins_witness_is_certified(monkeypatch):
-    monkeypatch.setattr(rbsep.exact, "minimum_hitting_set", lambda masks, budget=None, stats=None: 0)
+    monkeypatch.setattr(
+        rbsep.exact, "minimum_hitting_set", lambda masks, budget=None, stats=None, classes=0: 0
+    )
     with pytest.raises(CertificationError):
         sep_exact_allow_twins(path_graph(4))
 
@@ -290,6 +294,67 @@ def test_sep_exact_matches_brute():
         done += 1
 
 
+def _with_twins(rng: random.Random, n: int, k: int) -> Graph:
+    # G(k, 0.4), then vertices k..n-1, each a true twin of an earlier vertex.
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in combinations(range(k), 2):
+        if rng.random() < 0.4:
+            adj[u].add(v)
+            adj[v].add(u)
+    for m in range(k, n):
+        src = rng.randrange(m)
+        for u in adj[src] | {src}:
+            adj[u].add(m)
+            adj[m].add(u)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def _twin_quotient(g: Graph) -> Graph:
+    # One vertex per twin class. N[a] ^ N[b] is a union of whole twin
+    # classes, so the quotient is twin-free; twins have equal columns, so its
+    # sep is the twins-exempt optimum of g.
+    first: dict[int, int] = {}
+    for v, nbhd in enumerate(g.closed):
+        first.setdefault(nbhd, v)
+    reps = sorted(first.values())
+    return Graph.from_edges(
+        len(reps),
+        [(i, j) for (i, u), (j, v) in combinations(enumerate(reps), 2) if g.closed[u] >> v & 1],
+    )
+
+
+def test_sep_allow_twins_matches_brute_on_graphs_with_twins():
+    # The class bound counts twin classes; the witness is still the first
+    # set plain DFS finds, with no bound and no exclusion.
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        g = _with_twins(rng, n, rng.randint(1, n - 1))
+        report = sep_exact_allow_twins(g)
+        assert report.optimum == brute_min_sep(_twin_quotient(g))[0]
+        masks = sorted({d for d in all_pairs_difference_masks(g) if d}, key=by_size)
+        sets = [frozenset(bits_of(m)) for m in masks]
+        expected = first_dfs_hitting_set(sets, list(range(len(sets))), report.optimum)
+        assert frozenset(report.witness) == expected
+
+
+def test_sep_allow_twins_bounds_by_twin_classes():
+    # Each distinct unhit mask is a pair of twin classes, so the class bound
+    # may count classes rather than vertices, and then prunes more.
+    rng = random.Random(43)
+    fewer = 0
+    for _ in range(6):
+        g = _with_twins(rng, 16, rng.randint(8, 14))
+        masks = [d for d in all_pairs_difference_masks(g) if d]
+        stats = [0]
+        found = minimum_hitting_set(masks, stats=stats, classes=g.n)
+        report = sep_exact_allow_twins(g)
+        assert report.witness == bits_of(found)
+        assert report.nodes_explored <= stats[0]
+        fewer += report.nodes_explored < stats[0]
+    assert fewer >= 3
+
+
 def test_bondy_remove_examples():
     assert bondy_remove([[0], [0, 1]]) == 0
     p4 = path_graph(4)
@@ -371,7 +436,7 @@ def test_certification_holds_under_python_O():
 
         if __debug__:
             raise SystemExit("expected to run under -O")
-        rbsep.exact.minimum_hitting_set = lambda masks, budget=None, stats=None: 0b1
+        rbsep.exact.minimum_hitting_set = lambda masks, budget=None, stats=None, classes=0: 0b1
         p6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
         try:
             rbsep.exact.sep_rb_exact(p6, Coloring.from_string("RRRBBB"))

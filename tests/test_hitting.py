@@ -3,6 +3,9 @@ import random
 import pytest
 
 from conftest import brute_min_hitting_set, first_dfs_hitting_set
+import rbsep.hitting
+from rbsep.exact import all_pairs_difference_masks
+from rbsep.generators import gen_random_twin_free
 from rbsep.graphs import bits_of
 from rbsep.hitting import by_size, columns, hitting_set_within, minimum_hitting_set
 
@@ -70,6 +73,29 @@ def test_minimum_hitting_set_returns_the_first_dfs_set():
         live = list(range(len(sets)))
         opt = brute_min_hitting_set(sets)
         assert as_set(minimum_hitting_set(masks)) == first_dfs_hitting_set(sets, live, opt)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_pruning_rule_cuts_nodes(monkeypatch, seed):
+    # The class bound (on for all-pairs masks of a twin-free graph) and the
+    # exclusion of tried pivot vertices each cut nodes, and neither moves the
+    # set found.
+    g = gen_random_twin_free(22, 0.3, seed)
+    masks = all_pairs_difference_masks(g)
+
+    def search(classes):
+        stats = [0]
+        return minimum_hitting_set(masks, stats=stats, classes=classes), stats[0]
+
+    found, nodes = search(g.n)
+    unbounded = search(0)
+    assert unbounded[0] == found and unbounded[1] > nodes
+    # Dropping the trailing ``banned`` argument on every call, the recursive
+    # ones included, turns exclusion off.
+    full = rbsep.hitting._search
+    monkeypatch.setattr(rbsep.hitting, "_search", lambda *args: full(*args[:6]))
+    unexcluded = search(g.n)
+    assert unexcluded[0] == found and unexcluded[1] > nodes
 
 
 def test_minimum_hitting_set_is_optimal():
