@@ -143,7 +143,7 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     require_rb_separable(g, c)
     closed = g.closed
     pairs = tuple((r, b) for r in c.red_vertices() for b in c.blue_vertices())
-    cols = columns([bits_of(closed[r] ^ closed[b]) for r, b in pairs], g.n)
+    cols = columns([closed[r] ^ closed[b] for r, b in pairs], g.n)
     return SetSystem(len(pairs), pairs, tuple((v, bits_of(col)) for v, col in enumerate(cols)))
 
 

@@ -63,7 +63,9 @@ from .graphs import (
     verify_rb_separating,
     verify_separating_allow_twins,
 )
-from .hitting import by_size, columns, greedy_hitting_set, hitting_set_within, minimum_hitting_set
+from .hitting import (
+    by_size, columns, greedy_hitting_set, hitting_set_within, instance, minimum_hitting_set
+)
 
 __all__ = [
     "SolveReport",
@@ -290,9 +292,10 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
 
     closed = g.closed
     pairs = sorted(combinations(range(n), 2), key=lambda p: by_size(closed[p[0]] ^ closed[p[1]]))
-    verts = [bits_of(closed[u] ^ closed[w]) for u, w in pairs]
-    cols = columns(verts, n)
-    flips = columns(pairs, n)
+    masks = [closed[u] ^ closed[w] for u, w in pairs]
+    cols = columns(masks, n)
+    flips = columns([1 << u | 1 << w for u, w in pairs], n)
+    verts, apart, keep = instance(masks, cols)
 
     stats = [0]
     best = 0
@@ -309,7 +312,7 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
         active = reduce(xor, (flips[w] for w in bits_of(red)), 0)
         found = greedy_hitting_set(cols, active)
         if len(found) > best:
-            while (within := hitting_set_within(verts, cols, active, best, stats)) is None:
+            while (within := hitting_set_within(verts, apart, keep, active, best, stats)) is None:
                 best, best_red = best + 1, red
             found = bits_of(within)
         inner, outer = _class_pairs(closed, found, b)

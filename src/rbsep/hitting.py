@@ -5,31 +5,36 @@ to the same problem: given a list of nonempty vertex masks, find a smallest
 vertex set intersecting every mask. The solvers wrap this kernel with their
 own mask derivations.
 
-An instance is built once: ``verts[i] = bits_of(masks[i])``, and its
-transpose ``columns(verts, n)``, one bitset per vertex with bit i of
-``cols[v]`` set iff v is in ``masks[i]``. Both searches read the columns, so
-hitting every mask v meets turns a bitset ``rest`` of mask ids into
-``rest & ~cols[v]``; the exact search also reads ``verts``. It is
-iterative deepening (k = 0, 1, 2, ...) around a depth-limited branch and
-bound: branch on the vertices of the mask with the lowest id in ``rest``,
-prune with a greedy packing of pairwise-disjoint masks taken in id order. With
-one vertex left to pick the search decides without recursing: it returns the
-first pivot vertex whose column covers ``rest``. Once the branch on a pivot
-vertex fails, the later siblings' subtrees exclude it (branch and exclude;
-Fomin and Kratsch, *Exact Exponential Algorithms*, 2010, ch. 2). Ids
-numbered in ``by_size`` order make the pivot a smallest unhit mask, with
-ties toward the lowest vertex index, so results are deterministic. Every
-rule cuts only subtrees with no set within the limit, so the set found is
-the first that plain depth-first search finds.
-``greedy_hitting_set`` takes any bitset as its universe.
+``columns(masks, n)`` transposes the masks through one base-2 text of n digits
+per mask. The exact search reads complements: choosing v turns the bitset
+``rest`` of live mask ids into ``rest & keep[v]``, ``keep[v]`` being
+``~cols[v]``, and ``apart[i]``, the AND of ``keep`` over mask i, holds the
+masks disjoint from it. The search reaches one mask in eight or so, hence
+``instance`` fills ``verts[i]`` and ``apart[i]`` on first read.
+
+The exact search is iterative deepening (k = 0, 1, 2, ...) around a
+depth-limited branch and bound: branch on the vertices of the mask with the
+lowest id in ``rest``, prune with a greedy packing of pairwise-disjoint masks
+taken in id order (one AND with ``apart`` each). With one vertex left to pick
+the search decides without recursing: it returns the first pivot vertex that
+leaves nothing of ``rest``. Once the branch on a pivot vertex fails, the later
+siblings' subtrees exclude it (branch and exclude; Fomin and Kratsch, *Exact
+Exponential Algorithms*, 2010, ch. 2). Ids numbered in ``by_size`` order make
+the pivot a smallest unhit mask, with ties toward the lowest vertex index, so
+results are deterministic. Every rule cuts only subtrees with no set within
+the limit, so the set found is the first that plain depth-first search finds.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
+
 from .errors import SearchTooDeep
 from .graphs import bits_of
 
-__all__ = ["by_size", "columns", "greedy_hitting_set", "minimum_hitting_set", "hitting_set_within"]
+__all__ = ["by_size", "columns", "instance", "greedy_hitting_set", "minimum_hitting_set",
+           "hitting_set_within"]
 
 
 def by_size(mask: int) -> tuple[int, int]:
@@ -37,20 +42,43 @@ def by_size(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
 
 
-def columns(verts: list[tuple[int, ...]], n: int) -> list[int]:
-    """Transpose ``verts``: bit i of ``cols[v]`` is set iff v is in ``verts[i]``."""
-    # Base-2 text per vertex, bit i at character len(verts) - i; char 0 is a pad.
-    rows = [bytearray(b"0" * (len(verts) + 1)) for _ in range(n)]
-    i = len(verts)
-    for vs in verts:
-        for v in vs:
-            rows[v][i] = 49  # ord("1")
-        i -= 1
-    return [int(row, 2) for row in rows]
+def columns(masks: list[int], n: int) -> list[int]:
+    """Transpose ``masks``: bit i of ``cols[v]`` is set iff v is in ``masks[i]``.
+
+    Raises ValueError on a mask with a vertex at or above ``n``.
+    """
+    if max(masks, default=0) >> n:
+        raise ValueError(f"a mask is wider than n = {n} bits")
+    # n-digit rows, last mask first: digit v of a row is n - 1 - v from its left.
+    text = "".join([bin(m | 1 << n)[3:] for m in reversed(masks)])
+    return [int(text[n - 1 - v :: n] or "0", 2) for v in range(n)]
+
+
+class _OnRead(dict):
+    """Fills key i with ``fill(i)`` on its first read."""
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+
+    def __missing__(self, i: int) -> object:
+        self[i] = out = self.fill(i)
+        return out
+
+
+def instance(masks: list[int], cols: list[int]) -> tuple[dict, dict, list[int]]:
+    """``(verts, apart, keep)`` of ``masks`` with columns ``cols``, for the search.
+
+    ``keep[v] = ~cols[v]``. ``verts[i] = bits_of(masks[i])`` and ``apart[i]``,
+    the AND of ``keep`` over ``verts[i]``, fill on first read, once per mask.
+    """
+    keep = [~col for col in cols]
+    verts: dict[int, tuple[int, ...]] = _OnRead(lambda i: bits_of(masks[i]))
+    apart: dict[int, int] = _OnRead(lambda i: reduce(and_, map(keep.__getitem__, verts[i]), -1))
+    return verts, apart, keep
 
 
 def _search(
-    verts: list[tuple[int, ...]], cols: list[int], rest: int, limit: int, stats: list[int],
+    verts: dict, apart: dict, keep: list[int], rest: int, limit: int, stats: list[int],
     classes: int = 0, banned: int = 0
 ) -> int | None:
     """``hitting_set_within`` avoiding ``banned``; ``classes`` is ``minimum_hitting_set``'s."""
@@ -63,7 +91,7 @@ def _search(
     if limit == 1:
         # One vertex must hit the pivot and every other live mask.
         for v in pivot:
-            if not rest & ~cols[v]:
+            if not rest & keep[v]:
                 return 1 << v
         return None
     # Pairwise-disjoint masks need pairwise-distinct hitters.
@@ -73,12 +101,11 @@ def _search(
         lb += 1
         if lb > limit:
             return None
-        for v in verts[(left & -left).bit_length() - 1]:
-            left &= ~cols[v]
+        left &= apart[(left & -left).bit_length() - 1]
     for v in pivot:
         if banned >> v & 1:
             continue
-        sub = _search(verts, cols, rest & ~cols[v], limit - 1, stats, classes, banned)
+        sub = _search(verts, apart, keep, rest & keep[v], limit - 1, stats, classes, banned)
         if sub is not None:
             return sub | 1 << v
         # A set within ``limit`` that holds v would be in v's own branch,
@@ -88,17 +115,17 @@ def _search(
 
 
 def hitting_set_within(
-    verts: list[tuple[int, ...]], cols: list[int], rest: int, limit: int, stats: list[int]
+    verts: dict, apart: dict, keep: list[int], rest: int, limit: int, stats: list[int]
 ) -> int | None:
     """Depth-limited search: a set of size <= limit hitting each mask in ``rest``.
 
-    ``rest`` is a bitset of ids of nonempty masks; ``verts[i]`` lists the
-    vertices of mask i (``bits_of``) and ``cols`` are the masks' columns.
-    Returns a vertex mask or None; ``stats[0]`` counts nodes. The last level
-    (``limit == 1``) is decided in its parent node without a child call, so
-    it adds no nodes.
+    ``rest`` is a bitset of ids of nonempty masks and ``verts, apart, keep``
+    is their ``instance``; one instance serves any number of calls, and each
+    call fills more of it. Returns a vertex mask or None; ``stats[0]`` counts
+    nodes. The last level (``limit == 1``) is decided in its parent node
+    without a child call, so it adds no nodes.
     """
-    return _search(verts, cols, rest, limit, stats)
+    return _search(verts, apart, keep, rest, limit, stats)
 
 
 def minimum_hitting_set(
@@ -124,13 +151,13 @@ def minimum_hitting_set(
     distinct.sort(key=int.bit_count)  # stable: the ``by_size`` order
     if distinct and distinct[0] == 0:
         raise ValueError("empty mask cannot be hit")
-    verts = [bits_of(m) for m in distinct]
-    cols = columns(verts, max(distinct, default=0).bit_length())
+    cols = columns(distinct, max(distinct, default=0).bit_length())
+    verts, apart, keep = instance(distinct, cols)
     rest = (1 << len(distinct)) - 1
     hi = len(distinct) if budget is None else min(budget, len(distinct))
     for k in range(hi + 1):
         try:
-            found = _search(verts, cols, rest, k, stats, classes)
+            found = _search(verts, apart, keep, rest, k, stats, classes)
         except RecursionError:
             raise SearchTooDeep(k) from None
         if found is not None:

@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 
 from rbsep.graphs import Coloring, Graph
-from rbsep.hitting import by_size, columns, greedy_hitting_set, hitting_set_within
+from rbsep.hitting import by_size, greedy_hitting_set, hitting_set_within
 
 
 def path_graph(n: int) -> Graph:
@@ -176,8 +176,13 @@ def cached_sweep_universes(g: Graph) -> list[int]:
         combinations(range(g.n), 2),
         key=lambda p: by_size(g.closed[p[0]] ^ g.closed[p[1]]),
     )
-    verts = [tuple(sorted(nb[u] ^ nb[w])) for u, w in pairs]
-    cols = columns(verts, g.n)
+    diffs = [nb[u] ^ nb[w] for u, w in pairs]
+    cols = [sum(1 << i for i, d in enumerate(diffs) if v in d) for v in range(g.n)]
+    # The kernel's instance, built eagerly: verts, masks disjoint from each
+    # mask, and masks each vertex misses.
+    verts = [tuple(sorted(d)) for d in diffs]
+    apart = [~sum(1 << j for j, e in enumerate(diffs) if d & e) for d in diffs]
+    keep = [~col for col in cols]
     everything = (1 << len(pairs)) - 1
     steps = (Coloring(g.n, (i ^ i >> 1) << 1) for i in range(1, 1 << max(g.n - 1, 0)))
     best = 0
@@ -190,7 +195,7 @@ def cached_sweep_universes(g: Graph) -> list[int]:
         universes.append(active)
         found = greedy_hitting_set(cols, active)
         if len(found) > best:
-            while (within := hitting_set_within(verts, cols, active, best, [0])) is None:
+            while (within := hitting_set_within(verts, apart, keep, active, best, [0])) is None:
                 best += 1
             found = [v for v in range(g.n) if within >> v & 1]
         hit = 0

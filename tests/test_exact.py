@@ -480,3 +480,32 @@ def test_exact_witnesses_are_pinned(seed, coloring, rb, sep, gamma, value, worst
     assert gamma_exact(g).witness == gamma
     report = maxsep_exact(g)
     assert (report.value, report.worst_coloring.to_string()) == (value, worst)
+
+
+# (optimum, witness, nodes_explored) per seed, on larger graphs than PINNED:
+# rb on G(28, 0.3), sep on G(22, 0.3), gamma on G(44, 0.3), and the
+# twins-exempt sep on 20-vertex graphs with twins. A kernel change that moves a
+# witness or a node count must re-pin these and say why.
+PINNED_SEARCH = {
+    "rb": [(5, (5, 12, 16, 18, 20), 810), (5, (7, 11, 16, 17, 19), 246), (5, (4, 6, 7, 11, 26), 486)],
+    "sep": [(6, (7, 12, 16, 19, 20, 21), 255), (6, (1, 2, 14, 15, 17, 21), 179), (6, (3, 6, 12, 16, 19, 21), 375)],
+    "gamma": [(5, (0, 5, 25, 28, 34), 662), (4, (0, 6, 20, 35), 79), (4, (2, 15, 21, 33), 84)],
+    "twins": [(5, (1, 3, 4, 7, 10), 24), (5, (0, 1, 5, 6, 7), 37)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SEARCH))
+def test_exact_searches_are_pinned(kind):
+    def solve(seed):
+        if kind == "rb":
+            g = gen_random_twin_free(28, 0.3, seed)
+            return sep_rb_exact(g, Coloring(28, random.Random(seed).getrandbits(28)))
+        if kind == "sep":
+            return sep_exact(gen_random_twin_free(22, 0.3, seed))
+        if kind == "gamma":
+            return gamma_exact(gen_random_twin_free(44, 0.3, seed))
+        return sep_exact_allow_twins(_with_twins(random.Random(seed), 20, 14))
+
+    for seed, pinned in enumerate(PINNED_SEARCH[kind]):
+        report = solve(seed)
+        assert (report.optimum, report.witness, report.nodes_explored) == pinned

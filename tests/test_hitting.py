@@ -7,7 +7,7 @@ import rbsep.hitting
 from rbsep.exact import all_pairs_difference_masks
 from rbsep.generators import gen_random_twin_free
 from rbsep.graphs import bits_of
-from rbsep.hitting import by_size, columns, hitting_set_within, minimum_hitting_set
+from rbsep.hitting import by_size, columns, hitting_set_within, instance, minimum_hitting_set
 
 
 def as_set(mask: int) -> frozenset[int]:
@@ -25,21 +25,84 @@ def random_family(rng: random.Random) -> tuple[list[int], int]:
 
 def test_columns_transpose_the_masks():
     masks = [0b011, 0b110, 0b101, 0b110]
-    assert columns([bits_of(m) for m in masks], 4) == [0b0101, 0b1011, 0b1110, 0]
+    assert columns(masks, 4) == [0b0101, 0b1011, 0b1110, 0]
     assert sorted(masks, key=by_size) == [0b011, 0b101, 0b110, 0b110]
+
+
+def test_columns_rejects_a_mask_wider_than_n():
+    # A wide row would shift every later column of the base-2 text.
+    for masks in ([0b1000], [0b10000, 1]):
+        with pytest.raises(ValueError):
+            columns(masks, 3)
+    for n in range(4):
+        assert columns([], n) == [0] * n
+
+
+def test_columns_match_a_set_transpose():
+    rng = random.Random(7)
+    for _ in range(150):
+        masks, n = random_family(rng)
+        n += rng.randint(0, 2)  # spare columns stay empty
+        sets = [as_set(m) for m in masks]
+        expected = [sum(1 << i for i, s in enumerate(sets) if v in s) for v in range(n)]
+        assert columns(masks, n) == expected
+
+
+def test_instance_fills_on_read_as_the_eager_maps():
+    rng = random.Random(8)
+    for _ in range(150):
+        masks, n = random_family(rng)
+        cols = columns(masks, n)
+        verts, apart, keep = instance(masks, cols)
+        assert keep == [~col for col in cols]
+        ids = list(range(len(masks))) * 2
+        rng.shuffle(ids)
+        for i in ids:
+            hit = 0
+            for v in as_set(masks[i]):
+                hit |= cols[v]
+            if rng.random() < 0.5:
+                assert verts[i] == bits_of(masks[i]) and apart[i] == ~hit
+            else:
+                assert apart[i] == ~hit and verts[i] == bits_of(masks[i])
+
+
+def test_instance_stays_empty_until_read():
+    masks = [0b011, 0b110, 0b101, 0b1000]
+    verts, apart, keep = instance(masks, columns(masks, 4))
+    assert not verts and not apart and len(keep) == 4
+    assert apart[2] == ~0b0111
+    assert sorted(verts) == [2] and sorted(apart) == [2]
+
+
+def test_one_instance_serves_many_searches():
+    # The sweep reuses one instance across its decisions; the maps it fills
+    # must not move any answer or node count.
+    rng = random.Random(9)
+    for _ in range(60):
+        masks, n = random_family(rng)
+        cols = columns(masks, n)
+        shared = instance(masks, cols)
+        for _ in range(6):
+            rest = rng.randrange(1 << len(masks))
+            limit = rng.randint(0, 4)
+            stats, fresh_stats = [0], [0]
+            found = hitting_set_within(*shared, rest, limit, stats)
+            assert found == hitting_set_within(*instance(masks, cols), rest, limit, fresh_stats)
+            assert stats == fresh_stats
 
 
 def test_hitting_set_within_decides_as_the_oracle():
     rng = random.Random(3)
     for _ in range(150):
         masks, n = random_family(rng)
-        cols = columns([bits_of(m) for m in masks], n)
+        cols = columns(masks, n)
         rest = rng.randrange(1 << len(masks))
         live = [m for i, m in enumerate(masks) if rest >> i & 1]
         opt = brute_min_hitting_set(as_set(m) for m in live)
         for k in range(opt + 2):
             stats = [0]
-            found = hitting_set_within([bits_of(m) for m in masks], cols, rest, k, stats)
+            found = hitting_set_within(*instance(masks, cols), rest, k, stats)
             assert (found is not None) == (k >= opt)
             assert stats[0] >= 1
             if found is not None:
@@ -54,13 +117,12 @@ def test_hitting_set_within_returns_the_first_dfs_set():
     for _ in range(150):
         masks, n = random_family(rng)
         sets = [as_set(m) for m in masks]
-        verts = [bits_of(m) for m in masks]
-        cols = columns([bits_of(m) for m in masks], n)
+        cols = columns(masks, n)
         rest = rng.randrange(1 << len(masks))
         live = [i for i in range(len(masks)) if rest >> i & 1]
         opt = brute_min_hitting_set(sets[i] for i in live)
         for k in range(opt + 2):
-            found = hitting_set_within(verts, cols, rest, k, [0])
+            found = hitting_set_within(*instance(masks, cols), rest, k, [0])
             expected = first_dfs_hitting_set(sets, live, k)
             assert (None if found is None else as_set(found)) == expected
 
@@ -93,7 +155,7 @@ def test_each_pruning_rule_cuts_nodes(monkeypatch, seed):
     # Dropping the trailing ``banned`` argument on every call, the recursive
     # ones included, turns exclusion off.
     full = rbsep.hitting._search
-    monkeypatch.setattr(rbsep.hitting, "_search", lambda *args: full(*args[:6]))
+    monkeypatch.setattr(rbsep.hitting, "_search", lambda *args: full(*args[:7]))
     unexcluded = search(g.n)
     assert unexcluded[0] == found and unexcluded[1] > nodes
 
