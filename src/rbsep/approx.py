@@ -20,13 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    CertificationError,
-    FormatError,
-    Infeasible,
-    NotTriangleFree,
-    Uncoverable,
-)
+from .errors import CertificationError, Infeasible, NotTriangleFree, Uncoverable
 from .exact import SolveReport, sep_rb_exact, split_pairs
 from .graphs import (
     Coloring,
@@ -54,7 +48,6 @@ __all__ = [
     "bounded_degree_construct",
     "xp_exact_small_class",
     "set_system_to_text",
-    "set_system_from_text",
 ]
 
 
@@ -99,35 +92,6 @@ def set_system_to_text(sys: SetSystem) -> str:
     for label, elems in sys.sets:
         lines.append(f"{label}: " + " ".join(str(e) for e in elems))
     return "\n".join(lines) + "\n"
-
-
-def set_system_from_text(text: str) -> SetSystem:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("empty set-system file", line=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("expected header 'U S'", line=1)
-    try:
-        universe, count = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError("non-integer header field", line=1) from None
-    if len(lines) - 1 != count:
-        raise FormatError(f"header declares {count} sets, file has {len(lines) - 1}", line=1)
-    sets = []
-    for i, ln in enumerate(lines[1:], start=2):
-        if ":" not in ln:
-            raise FormatError("expected 'label: elements'", line=i)
-        label_s, _, rest = ln.partition(":")
-        try:
-            label = int(label_s.strip())
-            elems = tuple(int(tok) for tok in rest.split())
-        except ValueError:
-            raise FormatError("non-integer label or element", line=i) from None
-        sets.append((label, elems))
-    return SetSystem(universe, tuple(range(universe)), tuple(sets))
 
 
 def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
@@ -209,7 +173,7 @@ def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
     cover = _greedy_cover(cols, (1 << n * (n - 1) // 2) - 1)
     certify(verify_separating(g, cover.solution))
     if g.n >= 2:
-        guarantee = (2 * math.log(g.n) + 1) * max(1, (g.n - 1).bit_length())
+        guarantee = (2 * math.log(g.n) + 1) * (g.n - 1).bit_length()
     else:
         guarantee = 1.0
     return ApproxReport(cover.solution, guarantee, cover.optimum_lower_bound)

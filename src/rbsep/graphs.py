@@ -23,6 +23,7 @@ red-blue twin pair. ``violation`` is the one table from a claim's kind
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -218,13 +219,12 @@ def twin_classes(g: Graph) -> TwinReport:
     """Group the vertices by closed-neighborhood equality.
 
     The graph is twin-free iff every class is a singleton. Classes are listed
-    in order of their smallest member.
+    in order of their smallest member, the order in which they enter the dict.
     """
     by_nbhd: dict[int, list[int]] = {}
     for v in range(g.n):
         by_nbhd.setdefault(g.closed[v], []).append(v)
-    classes = sorted((tuple(vs) for vs in by_nbhd.values()), key=lambda c: c[0])
-    return TwinReport(tuple(classes))
+    return TwinReport(tuple(tuple(vs) for vs in by_nbhd.values()))
 
 
 def require_twin_free(g: Graph) -> None:
@@ -255,10 +255,28 @@ def require_rb_separable(g: Graph, c: Coloring) -> None:
 
 
 def _set_mask(g: Graph, s: Iterable[int]) -> int:
-    mask = mask_of(s)
-    if mask & ~((1 << g.n) - 1 if g.n else 0):
+    try:
+        mask = mask_of(s)
+    except ValueError:  # ``1 << v`` rejects a negative index v
+        mask = -1
+    if mask >> g.n:
         raise ValueError("vertex set contains indices out of range")
     return mask
+
+
+def _first_clash(g: Graph, s: Iterable[int], clash) -> tuple[int, int] | None:
+    # The smallest pair (u, v) with equal codes under s and clash(u, v). In a
+    # class of equal codes the smallest clashing pair is its first member
+    # with a later one, so each vertex is tested against its class's first.
+    smask = _set_mask(g, s)
+    closed = g.closed
+    first: dict[int, int] = {}
+    best: tuple[int, int] | None = None
+    for v in range(g.n):
+        u = first.setdefault(closed[v] & smask, v)
+        if clash(u, v) and (best is None or (u, v) < best):
+            best = (u, v)
+    return best
 
 
 def verify_rb_separating(g: Graph, c: Coloring, s: Iterable[int]) -> tuple[int, int] | None:
@@ -287,19 +305,7 @@ def verify_separating(g: Graph, s: Iterable[int]) -> tuple[int, int] | None:
     Returns None when valid, otherwise the lexicographically smallest pair
     (u, v) with equal codes.
     """
-    smask = _set_mask(g, s)
-    closed = g.closed
-    seen: dict[int, int] = {}
-    best: tuple[int, int] | None = None
-    for v in range(g.n):
-        cv = closed[v] & smask
-        if cv in seen:
-            pair = (seen[cv], v)
-            if best is None or pair < best:
-                best = pair
-        else:
-            seen[cv] = v
-    return best
+    return _first_clash(g, s, operator.ne)
 
 
 def verify_separating_allow_twins(g: Graph, s: Iterable[int]) -> tuple[int, int] | None:
@@ -308,15 +314,8 @@ def verify_separating_allow_twins(g: Graph, s: Iterable[int]) -> tuple[int, int]
     Returns None when valid, otherwise the lexicographically smallest pair
     (u, v) with equal codes but N[u] != N[v].
     """
-    smask = _set_mask(g, s)
     closed = g.closed
-    first: dict[int, int] = {}
-    best: tuple[int, int] | None = None
-    for v in range(g.n):
-        u = first.setdefault(closed[v] & smask, v)
-        if closed[u] != closed[v] and (best is None or (u, v) < best):
-            best = (u, v)
-    return best
+    return _first_clash(g, s, lambda u, v: closed[u] != closed[v])
 
 
 def verify_dominating(g: Graph, d: Iterable[int]) -> int | None:

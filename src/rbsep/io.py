@@ -1,4 +1,4 @@
-"""Text formats for graphs, colorings, vertex sets, and set systems.
+"""Text formats for graphs, colorings, and vertex sets.
 
 All formats are line-oriented ASCII with LF endings and no comments, chosen
 to round-trip bit-exactly:
@@ -8,7 +8,8 @@ to round-trip bit-exactly:
 * coloring:   one line over {R, B}, one character per vertex
 * vertex set: one line of space-separated ascending indices (empty line for
               the empty set)
-* set system: line 1 ``U S``, then S lines ``label: e1 e2 ...``
+* set system: written by ``approx.set_system_to_text`` for ``rbsep reduce``;
+              output only, so it has no reader here
 """
 
 from __future__ import annotations

@@ -154,6 +154,14 @@ def _shift_away_from_single_leaves(
     return out
 
 
+def _parity_bases(t: Graph, profile: TreeProfile, x: int) -> tuple[set[int], set[int]]:
+    # The pre-shift parity sets: the odd, then the even, BFS layers of x
+    # plus every leaf.
+    reached, odd = bfs_parity(t, x)
+    leaves = set(profile.leaves)
+    return set(bits_of(odd)) | leaves, set(bits_of(reached & ~odd)) | leaves
+
+
 def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two all-pairs separating sets from the BFS parity layers of x.
 
@@ -167,10 +175,7 @@ def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise NotATree("parity sets need a tree on at least 5 vertices")
     if t.degree(x) <= 1:
         raise XIsLeaf(f"vertex {x} is a leaf")
-    reached, odd = bfs_parity(t, x)
-    leaves = set(profile.leaves)
-    c1_base = set(bits_of(odd)) | leaves
-    c2_base = set(bits_of(reached & ~odd)) | leaves
+    c1_base, c2_base = _parity_bases(t, profile, x)
     c1 = _shift_away_from_single_leaves(t, profile, c1_base, c1_base)
     c2 = _shift_away_from_single_leaves(t, profile, c2_base, c2_base)
     out1 = tuple(sorted(c1))
@@ -236,14 +241,12 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
         return _star_rb_set(t, c, profile)
 
     x = next(v for v in range(t.n) if v not in leaf_set)
-    reached, odd = bfs_parity(t, x)
+    c1_prime, c2_prime = _parity_bases(t, profile, x)
     ns3 = set(ns3_vertices(t, profile))
     s_plus = set(profile.s_plus)
     outside = [
         v for v in range(t.n) if v not in leaf_set and v not in s_plus and v not in ns3
     ]
-    c1_prime = set(bits_of(odd)) | leaf_set
-    c2_prime = set(bits_of(reached & ~odd)) | leaf_set
     cost1 = sum(1 for v in outside if v in c1_prime)
     cost2 = sum(1 for v in outside if v in c2_prime)
     base = c1_prime if cost1 <= cost2 else c2_prime
@@ -253,18 +256,13 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
         adj_leaves = profile.leaves_of[u]
         red = [v for v in adj_leaves if c.is_red(v)]
         blue = [v for v in adj_leaves if not c.is_red(v)]
-        if len(red) > len(blue):
-            majority = red
-        elif len(blue) > len(red):
-            majority = blue
-        else:
-            majority = blue  # exact tie: drop the blue leaves
+        majority = red if len(red) > len(blue) else blue  # a tie drops the blue leaves
         for v in majority:
             chosen.discard(v)
+        chosen.add(u)
 
         k = len(adj_leaves)
         if k >= 4:
-            chosen.add(u)
             present = sum(1 for v in t.neighbors(u) if v in chosen)
             for v in adj_leaves:
                 if present >= 2:
@@ -273,7 +271,6 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
                     chosen.add(v)
                     present += 1
         elif k == 3:
-            chosen.add(u)
             ns3_here = [v for v in t.neighbors(u) if v in ns3]
             if ns3_here and not any(v in chosen for v in ns3_here):
                 chosen.add(ns3_here[0])
@@ -283,14 +280,11 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
             w1, w2 = adj_leaves
             same_color = c.is_red(w1) == c.is_red(w2)
             if same_color and u not in base:
-                chosen.add(u)
                 chosen.add(w1)
             elif same_color:
-                chosen.add(u)
                 internal = next(v for v in t.neighbors(u) if v not in leaf_set)
                 chosen.add(internal)
             else:
-                chosen.add(u)
                 keep = w1 if c.is_red(w1) == c.is_red(u) else w2
                 drop = w2 if keep == w1 else w1
                 chosen.discard(drop)

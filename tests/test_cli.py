@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rbsep.cli import main
-from rbsep.generators import MAX_SPEC_EDGES
+from rbsep.generators import MAX_SPEC_EDGES, GeneratorSpec, build_from_spec
 from rbsep.graphs import Coloring
 from rbsep.io import MAX_GRAPH_ORDER, read_coloring, read_graph, write_coloring, write_graph
 
@@ -134,6 +135,48 @@ def test_verify_command_kinds(tmp_path):
     assert res.returncode == 1 and "invalid" in res.stdout
 
 
+def test_verify_negative_index_exits_input(tmp_path, capsys):
+    gpath, spath = str(tmp_path / "g.txt"), str(tmp_path / "s.txt")
+    write_graph(gpath, path_graph(3))
+    (tmp_path / "s.txt").write_text("-1 2\n")
+    assert main(["verify", "--graph", gpath, "--set", spath, "--kind", "all-pairs"]) == 2
+    assert capsys.readouterr().err == "error: vertex set contains indices out of range\n"
+
+
+# Byte-for-byte outputs of the experiment suites and of ``rbsep reduce``,
+# kept in tests/data/golden. A change that moves any of them on purpose
+# regenerates the file and says why.
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_EXPERIMENTS = [
+    ("families.csv", ["--suite", "families"]),
+    ("ratio-seed0-5-6-7.csv", ["--suite", "ratio", "--seed", "0", "--sizes", "5,6,7"]),
+    ("fuzz-seed0-5-8.csv", ["--suite", "fuzz", "--seed", "0", "--sizes", "5,8"]),
+]
+GOLDEN_REDUCE = [
+    ("reduce-0.txt", "spider:k=2", "RBRBRBBRBRB"),
+    ("reduce-1.txt", "half-complement:k=3", "BRBRBR"),
+    ("reduce-2.txt", "power-set:k=2", "RRBB"),
+    ("reduce-3.txt", "random:n=7,p=0.4,seed=1", "RRBBRRB"),
+    ("reduce-4.txt", "random:n=9,p=0.4,seed=2", "RBRBBRRRR"),
+    ("reduce-5.txt", "tree:n=10,seed=3", "BBRBRRRRBB"),
+]
+
+
+def test_outputs_match_goldens(tmp_path, capsys):
+    for name, argv in GOLDEN_EXPERIMENTS:
+        out = tmp_path / name
+        assert main(["experiment", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    for name, spec, coloring in GOLDEN_REDUCE:
+        g, _ = build_from_spec(GeneratorSpec.parse(spec))
+        write_graph(gpath, g)
+        write_coloring(cpath, Coloring.from_string(coloring))
+        out = tmp_path / name
+        assert main(["reduce", "--graph", str(gpath), "--coloring", str(cpath), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def test_reduce_round_trip(tmp_path):
     gpath, cpath = str(tmp_path / "g.txt"), str(tmp_path / "c.txt")
     out = str(tmp_path / "sys.txt")
@@ -143,12 +186,19 @@ def test_reduce_round_trip(tmp_path):
     assert res.returncode == 0
     text = open(out).read()
     assert text.splitlines()[0] == "2 3"
-    # greedy on the written file equals the in-process greedy
-    from rbsep.approx import greedy_set_cover, sep_rb_greedy, set_system_from_text
+    # The file is the in-memory system's text, and greedy on that system
+    # equals the red-blue greedy.
+    from rbsep.approx import (
+        greedy_set_cover,
+        reduce_rb_to_set_cover,
+        sep_rb_greedy,
+        set_system_to_text,
+    )
 
-    file_cover = greedy_set_cover(set_system_from_text(text))
+    system = reduce_rb_to_set_cover(path_graph(3), Coloring.from_string("RBB"))
+    assert text == set_system_to_text(system)
     in_process = sep_rb_greedy(path_graph(3), Coloring.from_string("RBB"))
-    assert file_cover.solution == in_process.solution
+    assert greedy_set_cover(system).solution == in_process.solution
 
 
 def test_auto_method_dispatch(tmp_path):

@@ -90,6 +90,21 @@ def test_verify_separating_allow_twins_examples():
     assert verify_separating_allow_twins(paw, (0, 3)) is None
 
 
+def test_verifiers_reject_negative_indices():
+    # A negative index is out of range like n is, not a bad shift count.
+    p4 = path_graph(4)
+    checks = [
+        lambda s: verify_separating(p4, s),
+        lambda s: verify_separating_allow_twins(p4, s),
+        lambda s: verify_rb_separating(p4, Coloring.from_string("RBBR"), s),
+        lambda s: verify_dominating(p4, s),
+    ]
+    for check in checks:
+        for s in ([-1], [-1, 2], [4]):
+            with pytest.raises(ValueError, match="indices out of range"):
+                check(s)
+
+
 def test_verify_dominating_examples():
     p6 = path_graph(6)
     assert verify_dominating(p6, range(6)) is None
@@ -202,6 +217,14 @@ def test_verify_separating_allow_twins_against_pairwise_comparison(gc, smask):
         and closed_neighborhood(g, u) != closed_neighborhood(g, v)
     ]
     assert verify_separating_allow_twins(g, s) == min(bad, default=None)
+    # verify_separating's own oracle, twins or not: any two equal codes.
+    equal = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if code_of(g, s, u) == code_of(g, s, v)
+    ]
+    assert verify_separating(g, s) == min(equal, default=None)
     if twin_classes(g).is_twin_free:
         assert verify_separating_allow_twins(g, s) == verify_separating(g, s)
 
@@ -218,6 +241,10 @@ def test_twin_classes_against_pairwise_comparison(gc):
             assert (classes[u] == classes[v]) == same
     flat = sorted(v for cls in report.classes for v in cls)
     assert flat == list(range(g.n))
+    # Each class ascends, and the classes come in order of smallest member.
+    assert all(list(cls) == sorted(cls) for cls in report.classes)
+    firsts = [cls[0] for cls in report.classes]
+    assert firsts == sorted(firsts)
 
 
 def test_random_twin_free_is_deterministic_and_twin_free():
