@@ -106,16 +106,14 @@ class MaxSepReport:
 def rb_difference_masks(g: Graph, c: Coloring) -> list[int]:
     """Difference masks N[r] xor N[b] over all red-blue pairs, none zero.
 
-    Raises Unseparable on the lexicographically smallest red-blue twin pair.
+    Listed by red vertex, then blue vertex, each ascending; the kernel sorts
+    its masks, so the order is free. Raises Unseparable on the
+    lexicographically smallest red-blue twin pair.
     """
     require_rb_separable(g, c)
-    closed, red = g.closed, c.red_mask
-    return [
-        closed[u] ^ closed[v]
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (red >> u ^ red >> v) & 1
-    ]
+    closed = g.closed
+    blues = [closed[b] for b in c.blue_vertices()]
+    return [closed[r] ^ nb for r in c.red_vertices() for nb in blues]
 
 
 def all_pairs_difference_masks(g: Graph) -> list[int]:
@@ -294,8 +292,11 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     pairs = sorted(combinations(range(n), 2), key=lambda p: by_size(closed[p[0]] ^ closed[p[1]]))
     masks = [closed[u] ^ closed[w] for u, w in pairs]
     cols = columns(masks, n)
-    flips = columns([1 << u | 1 << w for u, w in pairs], n)
-    verts, apart, keep = instance(masks, cols)
+    flips = [0] * n  # flips[v]: the pairs whose red-blue status v's color flips
+    for i, (u, w) in enumerate(pairs):
+        flips[u] |= 1 << i
+        flips[w] |= 1 << i
+    kernel = instance(masks, cols)
 
     stats = [0]
     best = 0
@@ -312,7 +313,7 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
         active = reduce(xor, (flips[w] for w in bits_of(red)), 0)
         found = greedy_hitting_set(cols, active)
         if len(found) > best:
-            while (within := hitting_set_within(verts, apart, keep, active, best, stats)) is None:
+            while (within := hitting_set_within(*kernel, active, best, stats)) is None:
                 best, best_red = best + 1, red
             found = bits_of(within)
         inner, outer = _class_pairs(closed, found, b)

@@ -10,19 +10,22 @@ per mask. The exact search reads complements: choosing v turns the bitset
 ``rest`` of live mask ids into ``rest & keep[v]``, ``keep[v]`` being
 ``~cols[v]``, and ``apart[i]``, the AND of ``keep`` over mask i, holds the
 masks disjoint from it. The search reaches one mask in eight or so, hence
-``instance`` fills ``verts[i]`` and ``apart[i]`` on first read.
+``instance`` fills ``apart[i]`` on first read; the search reads the vertices
+of a mask straight from its bits.
 
 The exact search is iterative deepening (k = 0, 1, 2, ...) around a
 depth-limited branch and bound: branch on the vertices of the mask with the
 lowest id in ``rest``, prune with a greedy packing of pairwise-disjoint masks
-taken in id order (one AND with ``apart`` each). With one vertex left to pick
-the search decides without recursing: it returns the first pivot vertex that
-leaves nothing of ``rest``. Once the branch on a pivot vertex fails, the later
-siblings' subtrees exclude it (branch and exclude; Fomin and Kratsch, *Exact
-Exponential Algorithms*, 2010, ch. 2). Ids numbered in ``by_size`` order make
-the pivot a smallest unhit mask, with ties toward the lowest vertex index, so
-results are deterministic. Every rule cuts only subtrees with no set within
-the limit, so the set found is the first that plain depth-first search finds.
+taken in id order (one AND with ``apart`` each). The last two levels are
+decided in place, with no call and no packing bound: with one vertex left to
+pick, the answer is the lowest vertex in the AND of the live masks, and with
+two, each pivot vertex in turn leaves a ``rest`` that this AND decides. Once
+the branch on a pivot vertex fails, the later siblings' subtrees exclude it
+(branch and exclude; Fomin and Kratsch, *Exact Exponential Algorithms*, 2010,
+ch. 2). Ids numbered in ``by_size`` order make the pivot a smallest unhit
+mask, with ties toward the lowest vertex index, so results are deterministic.
+Every rule cuts only subtrees with no set within the limit, so the set found
+is the first that plain depth-first search finds.
 """
 
 from __future__ import annotations
@@ -65,20 +68,19 @@ class _OnRead(dict):
         return out
 
 
-def instance(masks: list[int], cols: list[int]) -> tuple[dict, dict, list[int]]:
-    """``(verts, apart, keep)`` of ``masks`` with columns ``cols``, for the search.
+def instance(masks: list[int], cols: list[int]) -> tuple[list[int], dict, list[int]]:
+    """``(masks, apart, keep)`` of ``masks`` with columns ``cols``, for the search.
 
-    ``keep[v] = ~cols[v]``. ``verts[i] = bits_of(masks[i])`` and ``apart[i]``,
-    the AND of ``keep`` over ``verts[i]``, fill on first read, once per mask.
+    ``keep[v] = ~cols[v]``. ``apart[i]``, the AND of ``keep`` over the
+    vertices of ``masks[i]``, fills on first read, once per mask.
     """
     keep = [~col for col in cols]
-    verts: dict[int, tuple[int, ...]] = _OnRead(lambda i: bits_of(masks[i]))
-    apart: dict[int, int] = _OnRead(lambda i: reduce(and_, map(keep.__getitem__, verts[i]), -1))
-    return verts, apart, keep
+    apart: dict = _OnRead(lambda i: reduce(and_, map(keep.__getitem__, bits_of(masks[i])), -1))
+    return masks, apart, keep
 
 
 def _search(
-    verts: dict, apart: dict, keep: list[int], rest: int, limit: int, stats: list[int],
+    masks: list[int], apart: dict, keep: list[int], rest: int, limit: int, stats: list[int],
     classes: int = 0, banned: int = 0
 ) -> int | None:
     """``hitting_set_within`` avoiding ``banned``; ``classes`` is ``minimum_hitting_set``'s."""
@@ -87,12 +89,32 @@ def _search(
         return 0
     if limit <= 0 or classes and classes << limit < 2 * rest.bit_count() + classes:
         return None
-    pivot = verts[(rest & -rest).bit_length() - 1]
     if limit == 1:
-        # One vertex must hit the pivot and every other live mask.
-        for v in pivot:
-            if not rest & keep[v]:
-                return 1 << v
+        # One vertex must lie in every live mask: the lowest of their AND.
+        common = -1
+        while rest and common:
+            low = rest & -rest
+            common &= masks[low.bit_length() - 1]
+            rest ^= low
+        return common & -common or None
+    pivot = masks[(rest & -rest).bit_length() - 1] & ~banned
+    if limit == 2:
+        # Each child is the leaf above, decided here without a call and
+        # counted as one node. The packing bound costs more here than it cuts.
+        while pivot:
+            low = pivot & -pivot
+            pivot ^= low
+            stats[0] += 1
+            left = rest & keep[low.bit_length() - 1]
+            if not left:
+                return low
+            common = -1
+            while left and common:
+                bit = left & -left
+                common &= masks[bit.bit_length() - 1]
+                left ^= bit
+            if common:
+                return low | common & -common
         return None
     # Pairwise-disjoint masks need pairwise-distinct hitters.
     left = rest
@@ -102,30 +124,31 @@ def _search(
         if lb > limit:
             return None
         left &= apart[(left & -left).bit_length() - 1]
-    for v in pivot:
-        if banned >> v & 1:
-            continue
-        sub = _search(verts, apart, keep, rest & keep[v], limit - 1, stats, classes, banned)
+    while pivot:
+        low = pivot & -pivot
+        pivot ^= low
+        sub = _search(masks, apart, keep, rest & keep[low.bit_length() - 1], limit - 1, stats,
+                      classes, banned)
         if sub is not None:
-            return sub | 1 << v
+            return sub | low
         # A set within ``limit`` that holds v would be in v's own branch,
         # and a banned v covers no leaf's ``rest`` for the same reason.
-        banned |= 1 << v
+        banned |= low
     return None
 
 
 def hitting_set_within(
-    verts: dict, apart: dict, keep: list[int], rest: int, limit: int, stats: list[int]
+    masks: list[int], apart: dict, keep: list[int], rest: int, limit: int, stats: list[int]
 ) -> int | None:
     """Depth-limited search: a set of size <= limit hitting each mask in ``rest``.
 
-    ``rest`` is a bitset of ids of nonempty masks and ``verts, apart, keep``
+    ``rest`` is a bitset of ids of nonempty masks and ``masks, apart, keep``
     is their ``instance``; one instance serves any number of calls, and each
     call fills more of it. Returns a vertex mask or None; ``stats[0]`` counts
-    nodes. The last level (``limit == 1``) is decided in its parent node
-    without a child call, so it adds no nodes.
+    nodes. The last two levels are decided in place, without a child call:
+    a ``limit == 2`` node counts one node for each child it tries.
     """
-    return _search(verts, apart, keep, rest, limit, stats)
+    return _search(masks, apart, keep, rest, limit, stats)
 
 
 def minimum_hitting_set(
@@ -152,12 +175,12 @@ def minimum_hitting_set(
     if distinct and distinct[0] == 0:
         raise ValueError("empty mask cannot be hit")
     cols = columns(distinct, max(distinct, default=0).bit_length())
-    verts, apart, keep = instance(distinct, cols)
+    kernel = instance(distinct, cols)
     rest = (1 << len(distinct)) - 1
     hi = len(distinct) if budget is None else min(budget, len(distinct))
     for k in range(hi + 1):
         try:
-            found = _search(verts, apart, keep, rest, k, stats, classes)
+            found = _search(*kernel, rest, k, stats, classes)
         except RecursionError:
             raise SearchTooDeep(k) from None
         if found is not None:

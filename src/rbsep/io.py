@@ -1,13 +1,14 @@
 """Text formats for graphs, colorings, and vertex sets.
 
 All formats are line-oriented ASCII with LF endings and no comments, chosen
-to round-trip bit-exactly:
+to round-trip bit-exactly. A one-line format allows a single trailing LF;
+any further line is an error:
 
 * graph:      line 1 ``n m``, then m lines ``u v`` with u < v, edges in
               lexicographic order
 * coloring:   one line over {R, B}, one character per vertex
-* vertex set: one line of space-separated ascending indices (empty line for
-              the empty set)
+* vertex set: one line of space-separated ascending non-negative indices
+              (empty line for the empty set)
 * set system: written by ``approx.set_system_to_text`` for ``rbsep reduce``;
               output only, so it has no reader here
 """
@@ -86,8 +87,18 @@ def coloring_to_text(c: Coloring) -> str:
     return c.to_string() + "\n"
 
 
+def _only_line(text: str) -> str:
+    # One-line formats: a single trailing LF ends the line; more is line 2.
+    lines = text.split("\n")
+    if len(lines) > 1 and lines[-1] == "":
+        lines.pop()
+    if len(lines) > 1:
+        raise FormatError("expected a single line", line=2)
+    return lines[0]
+
+
 def coloring_from_text(text: str, n: int | None = None) -> Coloring:
-    line = text.split("\n")[0]
+    line = _only_line(text)
     try:
         c = Coloring.from_string(line)
     except ValueError as exc:
@@ -102,7 +113,7 @@ def vertex_set_to_text(s: Iterable[int]) -> str:
 
 
 def vertex_set_from_text(text: str) -> tuple[int, ...]:
-    line = text.split("\n")[0].strip()
+    line = _only_line(text).strip()
     if not line:
         return ()
     try:
@@ -112,6 +123,8 @@ def vertex_set_from_text(text: str) -> tuple[int, ...]:
     for a, b in zip(values, values[1:]):
         if a >= b:
             raise FormatError("vertex set must be strictly ascending", line=1)
+    if values[0] < 0:
+        raise FormatError(f"negative vertex index {values[0]}", line=1)
     return values
 
 

@@ -178,9 +178,9 @@ def cached_sweep_universes(g: Graph) -> list[int]:
     )
     diffs = [nb[u] ^ nb[w] for u, w in pairs]
     cols = [sum(1 << i for i, d in enumerate(diffs) if v in d) for v in range(g.n)]
-    # The kernel's instance, built eagerly: verts, masks disjoint from each
-    # mask, and masks each vertex misses.
-    verts = [tuple(sorted(d)) for d in diffs]
+    # The kernel's instance, built eagerly: masks as ints, masks disjoint
+    # from each mask, and masks each vertex misses.
+    masks = [sum(1 << v for v in d) for d in diffs]
     apart = [~sum(1 << j for j, e in enumerate(diffs) if d & e) for d in diffs]
     keep = [~col for col in cols]
     everything = (1 << len(pairs)) - 1
@@ -195,7 +195,7 @@ def cached_sweep_universes(g: Graph) -> list[int]:
         universes.append(active)
         found = greedy_hitting_set(cols, active)
         if len(found) > best:
-            while (within := hitting_set_within(verts, apart, keep, active, best, [0])) is None:
+            while (within := hitting_set_within(masks, apart, keep, active, best, [0])) is None:
                 best += 1
             found = [v for v in range(g.n) if within >> v & 1]
         hit = 0

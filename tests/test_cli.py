@@ -136,11 +136,29 @@ def test_verify_command_kinds(tmp_path):
 
 
 def test_verify_negative_index_exits_input(tmp_path, capsys):
+    # The set reader rejects the index before any verifier sees it.
     gpath, spath = str(tmp_path / "g.txt"), str(tmp_path / "s.txt")
     write_graph(gpath, path_graph(3))
     (tmp_path / "s.txt").write_text("-1 2\n")
     assert main(["verify", "--graph", gpath, "--set", spath, "--kind", "all-pairs"]) == 2
-    assert capsys.readouterr().err == "error: vertex set contains indices out of range\n"
+    assert capsys.readouterr().err == "error: line 1: negative vertex index -1\n"
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("s.txt", "1\n2\n", 2), ("s.txt", "-3 -1 0\n", 1), ("c.txt", "RBB\nBBB\n", 2),
+])
+def test_verify_malformed_set_or_coloring_exits_input(tmp_path, name, text, line):
+    # A second line in either file and a negative index are format errors
+    # that name their line, in place of a set or coloring read in part.
+    gpath, spath, cpath = (str(tmp_path / f) for f in ("g.txt", "s.txt", "c.txt"))
+    write_graph(gpath, path_graph(3))
+    (tmp_path / "s.txt").write_text("1\n")
+    (tmp_path / "c.txt").write_text("RBB\n")
+    (tmp_path / name).write_text(text)
+    res = run_cli("verify", "--graph", gpath, "--set", spath, "--coloring", cpath, "--kind", "rb")
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: line {line}: ")
+    assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 # Byte-for-byte outputs of the experiment suites and of ``rbsep reduce``,

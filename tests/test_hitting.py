@@ -6,7 +6,6 @@ from conftest import brute_min_hitting_set, first_dfs_hitting_set
 import rbsep.hitting
 from rbsep.exact import all_pairs_difference_masks
 from rbsep.generators import gen_random_twin_free
-from rbsep.graphs import bits_of
 from rbsep.hitting import by_size, columns, hitting_set_within, instance, minimum_hitting_set
 
 
@@ -53,26 +52,23 @@ def test_instance_fills_on_read_as_the_eager_maps():
     for _ in range(150):
         masks, n = random_family(rng)
         cols = columns(masks, n)
-        verts, apart, keep = instance(masks, cols)
-        assert keep == [~col for col in cols]
+        same, apart, keep = instance(masks, cols)
+        assert same is masks and keep == [~col for col in cols]
         ids = list(range(len(masks))) * 2
         rng.shuffle(ids)
         for i in ids:
             hit = 0
             for v in as_set(masks[i]):
                 hit |= cols[v]
-            if rng.random() < 0.5:
-                assert verts[i] == bits_of(masks[i]) and apart[i] == ~hit
-            else:
-                assert apart[i] == ~hit and verts[i] == bits_of(masks[i])
+            assert apart[i] == ~hit
 
 
 def test_instance_stays_empty_until_read():
     masks = [0b011, 0b110, 0b101, 0b1000]
-    verts, apart, keep = instance(masks, columns(masks, 4))
-    assert not verts and not apart and len(keep) == 4
+    same, apart, keep = instance(masks, columns(masks, 4))
+    assert same is masks and not apart and len(keep) == 4
     assert apart[2] == ~0b0111
-    assert sorted(verts) == [2] and sorted(apart) == [2]
+    assert sorted(apart) == [2]
 
 
 def test_one_instance_serves_many_searches():
@@ -125,6 +121,54 @@ def test_hitting_set_within_returns_the_first_dfs_set():
             found = hitting_set_within(*instance(masks, cols), rest, k, [0])
             expected = first_dfs_hitting_set(sets, live, k)
             assert (None if found is None else as_set(found)) == expected
+
+
+def test_last_two_levels_return_the_first_dfs_set():
+    # Limits 1 and 2 are decided in place. Half the families get a vertex
+    # other than 0 in every mask, so at limit 2 one pivot vertex alone can
+    # hit ``rest``: the answer is that vertex, not it plus a spurious 0. A
+    # limit-2 node counts itself and each pivot vertex it tries.
+    rng = random.Random(10)
+    for trial in range(400):
+        masks, n = random_family(rng)
+        if trial % 2:
+            common = 1 << rng.randint(1, n)
+            n += 1
+            masks = [m << 1 | common for m in masks]
+        sets = [as_set(m) for m in masks]
+        rest = rng.randrange(1, 1 << len(masks))
+        live = [i for i in range(len(masks)) if rest >> i & 1]
+        for limit in (1, 2):
+            stats = [0]
+            found = hitting_set_within(*instance(masks, columns(masks, n)), rest, limit, stats)
+            expected = first_dfs_hitting_set(sets, live, limit)
+            assert (None if found is None else as_set(found)) == expected
+            tried = sorted(sets[live[0]])
+            if limit == 2 and expected is not None:
+                tried = tried[: 1 + min(tried.index(v) for v in expected if v in sets[live[0]])]
+            assert stats[0] == (1 if limit == 1 else 1 + len(tried))
+
+
+def test_limit_two_skips_banned_pivot_vertices_only():
+    # Exclusion bans a vertex from the pivot of later siblings' subtrees; a
+    # banned vertex may still be the leaf's answer. Bans here are drawn at
+    # random, so a banned pivot vertex could often finish the cover itself.
+    rng = random.Random(11)
+    for _ in range(400):
+        masks, n = random_family(rng)
+        sets = [as_set(m) for m in masks]
+        rest = rng.randrange(1, 1 << len(masks))
+        live = [i for i in range(len(masks)) if rest >> i & 1]
+        banned = rng.randrange(1 << n)
+        expected = None
+        for v in sorted(sets[live[0]] - as_set(banned)):
+            sub = first_dfs_hitting_set(sets, [i for i in live if v not in sets[i]], 1)
+            if sub is not None:
+                expected = sub | {v}
+                break
+        kernel = instance(masks, columns(masks, n))
+        found = rbsep.hitting._search(*kernel, rest, 2, [0], 0, banned)
+        assert (None if found is None else as_set(found)) == expected
 
 
 def test_minimum_hitting_set_returns_the_first_dfs_set():

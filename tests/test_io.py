@@ -62,3 +62,22 @@ def test_vertex_set_round_trip():
         vertex_set_from_text("2 1\n")
     with pytest.raises(FormatError):
         vertex_set_from_text("1 a\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1\n2\n", 2), ("1 2\n\n", 2), ("\n3\n", 2), ("-3 -1 0", 1), ("-1\n", 1),
+])
+def test_vertex_set_rejects_extra_lines_and_negative_indices(text, line):
+    # Neither the second line nor a negative index may pass unreported.
+    with pytest.raises(FormatError) as exc:
+        vertex_set_from_text(text)
+    assert exc.value.line == line
+    assert vertex_set_from_text("0 4") == vertex_set_from_text("0 4\n") == (0, 4)
+
+
+@pytest.mark.parametrize("text", ["RB\nBB\n", "RB\n\n", "RB\nBB"])
+def test_coloring_rejects_extra_lines(text):
+    with pytest.raises(FormatError) as exc:
+        coloring_from_text(text)
+    assert exc.value.line == 2
+    assert coloring_from_text("RB") == coloring_from_text("RB\n") == Coloring(2, 1)
