@@ -4,9 +4,11 @@
 Runs ``sep_rb_exact`` on G(28, 0.3) with a random coloring, ``sep_exact`` on
 G(22, 0.3), ``gamma_exact`` on G(44, 0.3) and ``sep_exact_allow_twins`` on a
 G(14, 0.4) grown to 20 vertices by true twins, the sizes that
-``tests/test_exact.py`` pins, for ``count`` seeds from ``seed`` on. Each line
-is ``kind seed optimum witness``; node counts are left out, so a kernel change
-that keeps every answer keeps the output. Usage:
+``tests/test_exact.py`` pins, and ``maxsep_exact`` on a twin-free G(12, 0.3)
+at even seeds and a random tree of 12 + (seed // 2) % 5 vertices at odd ones,
+for ``count`` seeds from ``seed`` on. Each line is ``kind seed optimum
+witness``, the witness of ``maxsep`` being the worst coloring; node counts are
+left out, so a kernel change that keeps every answer keeps the output. Usage:
 
     python scripts/exact_witnesses.py [count] [seed]
 """
@@ -19,8 +21,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import random  # noqa: E402
 from itertools import combinations  # noqa: E402
 
-from rbsep.exact import gamma_exact, sep_exact, sep_exact_allow_twins, sep_rb_exact  # noqa: E402
-from rbsep.generators import gen_random_twin_free  # noqa: E402
+from rbsep.exact import (  # noqa: E402
+    gamma_exact, maxsep_exact, sep_exact, sep_exact_allow_twins, sep_rb_exact
+)
+from rbsep.generators import gen_random_tree, gen_random_twin_free  # noqa: E402
 from rbsep.graphs import Coloring, Graph  # noqa: E402
 
 
@@ -39,13 +43,27 @@ def with_twins(rng: random.Random, n: int, k: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
+def optimum(report) -> tuple[int, str]:
+    return report.optimum, ",".join(map(str, report.witness))
+
+
+def maxsep(s: int) -> tuple[int, str]:
+    if s % 2:
+        g = gen_random_tree(12 + s // 2 % 5, s)
+    else:
+        g = gen_random_twin_free(12, 0.3, s)
+    report = maxsep_exact(g, n_cap=16)
+    return report.value, report.worst_coloring.to_string()
+
+
 SOLVES = {
-    "rb": lambda s: sep_rb_exact(
+    "rb": lambda s: optimum(sep_rb_exact(
         gen_random_twin_free(28, 0.3, s), Coloring(28, random.Random(s).getrandbits(28))
-    ),
-    "sep": lambda s: sep_exact(gen_random_twin_free(22, 0.3, s)),
-    "gamma": lambda s: gamma_exact(gen_random_twin_free(44, 0.3, s)),
-    "twins": lambda s: sep_exact_allow_twins(with_twins(random.Random(s), 20, 14)),
+    )),
+    "sep": lambda s: optimum(sep_exact(gen_random_twin_free(22, 0.3, s))),
+    "gamma": lambda s: optimum(gamma_exact(gen_random_twin_free(44, 0.3, s))),
+    "twins": lambda s: optimum(sep_exact_allow_twins(with_twins(random.Random(s), 20, 14))),
+    "maxsep": maxsep,
 }
 
 
@@ -55,8 +73,7 @@ def main() -> int:
     print("kind seed optimum witness")
     for kind, solve in SOLVES.items():
         for s in range(seed, seed + count):
-            report = solve(s)
-            print(kind, s, report.optimum, ",".join(map(str, report.witness)))
+            print(kind, s, *solve(s))
     return 0
 
 

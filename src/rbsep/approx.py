@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CertificationError, Infeasible, NotTriangleFree, Uncoverable
-from .exact import SolveReport, sep_rb_exact, split_pairs
+from .exact import SolveReport, rb_difference_masks, sep_rb_exact, split_pairs
 from .graphs import (
     Coloring,
     Graph,
@@ -98,16 +98,14 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     """Red-blue separation as set cover.
 
     One universe element per red-blue pair, ordered (red ascending, blue
-    ascending); the set of vertex v is column v of the difference masks
-    N[r] ^ N[b], the pairs v separates. Covers of size k correspond
-    bijectively (by set label) to red-blue separating sets of size k. Raises
-    Unseparable on the lexicographically smallest red-blue twin pair, which
-    no set covers.
+    ascending); the set of vertex v is column v of
+    ``exact.rb_difference_masks``, the pairs v separates. Covers of size k
+    correspond bijectively (by set label) to red-blue separating sets of
+    size k. Raises Unseparable on the lexicographically smallest red-blue
+    twin pair, which no set covers.
     """
-    require_rb_separable(g, c)
-    closed = g.closed
+    cols = columns(rb_difference_masks(g, c), g.n)
     pairs = tuple((r, b) for r in c.red_vertices() for b in c.blue_vertices())
-    cols = columns([closed[r] ^ closed[b] for r, b in pairs], g.n)
     return SetSystem(len(pairs), pairs, tuple((v, bits_of(col)) for v, col in enumerate(cols)))
 
 

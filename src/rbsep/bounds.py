@@ -54,6 +54,16 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n >= 1 else 0
 
 
+def maxsep_lower_bound(n: int) -> int:
+    """Proven lower bound on maxsep_RB of a twin-free graph of order n.
+
+    Floor(log2 n) by the counting argument, but 1 at the orders in
+    ``LOG_LB_EXCLUDED``, where that argument is not known to hold: each is at
+    least 2, so some coloring has a red-blue pair, which needs one vertex.
+    """
+    return 1 if n in LOG_LB_EXCLUDED else max(floor_log2(n), 0)
+
+
 def check_bounds(
     g: Graph,
     sep_cap: int = SEP_DEFAULT_CAP,
@@ -79,7 +89,7 @@ def check_bounds(
     if n in LOG_LB_EXCLUDED:
         add("floor_log2_le_maxsep", None, None, f"skipped: n={n} excluded")
     elif n >= 1:
-        add("floor_log2_le_maxsep", floor_log2(n), maxsep)
+        add("floor_log2_le_maxsep", maxsep_lower_bound(n), maxsep)
     add("maxsep_le_sep", maxsep, sep)
     add("sep_le_n_minus_1", sep, n - 1 if n >= 1 else None)
     if maxsep is None:

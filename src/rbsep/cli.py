@@ -93,7 +93,7 @@ def cmd_maxsep(args) -> int:
         key, extra = "maxsep-exact", {"verifies": "none"}
     else:
         res = approx.sep_all_pairs_greedy(g)
-        lower = bounds.floor_log2(g.n) if g.n >= 1 else 0
+        lower = bounds.maxsep_lower_bound(g.n)
         _emit(f"upper {len(res.solution)}")
         _emit(f"lower {lower}")
         _emit(f"guarantee {res.guarantee}")

@@ -24,20 +24,16 @@ The sweep orders the colorings by the reflected binary Gray code (Knuth,
 TAOCP 4A, 7.2.1.1) and takes them in blocks of up to 2^16 steps: per block,
 each vertex has one bitset whose bit r says whether it is red at step r of
 the block. A set S separates every coloring that is constant on each code
-class of S, so the sweep caches the consecutive pairs of the classes of each
-set it finds, and a set covers the steps at which both ends of each of its
-pairs have one color: an AND of XORs over a whole block. In blocks of 2^b
-steps, the bitsets of vertices below b are the same in every block, so each
-set keeps the AND over its pairs among them, and a block ANDs in only its
-other pairs. Only the lowest step no cached set covers is solved, one at a
-time.
+class of S, so the sweep caches, for each set it finds, the pairs of
+``graphs.code_pairs``: each vertex with the first member of its class. A set
+covers the steps at which both ends of each of its pairs have one color: an
+AND of XORs over a whole block. In blocks of 2^b steps, the bitsets of
+vertices below b are the same in every block, so each set keeps the AND over
+its pairs among them, and a block ANDs in only its other pairs. Only the
+lowest step no cached set covers is solved, one at a time.
 
 All solvers are single-threaded and reentrant: they share no mutable state,
-so callers may run many instances in parallel. The sweep carries its
-incumbent and its cache from block to block. Split across workers, each
-would take whole blocks with its own cache, starting from the parity
-coloring: maxsep is the largest incumbent, and the worst coloring is that of
-the first worker, in block order, to reach it.
+so callers may run many instances in parallel.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ from .graphs import (
     bfs_parity,
     bits_of,
     certify,
+    code_pairs,
     mask_of,
     require_rb_separable,
     require_twin_free,
@@ -106,9 +103,10 @@ class MaxSepReport:
 def rb_difference_masks(g: Graph, c: Coloring) -> list[int]:
     """Difference masks N[r] xor N[b] over all red-blue pairs, none zero.
 
-    Listed by red vertex, then blue vertex, each ascending; the kernel sorts
-    its masks, so the order is free. Raises Unseparable on the
-    lexicographically smallest red-blue twin pair.
+    Listed by red vertex, then blue vertex, each ascending: the kernel sorts
+    its masks, but ``approx.reduce_rb_to_set_cover`` numbers its universe in
+    this order. Raises Unseparable on the lexicographically smallest red-blue
+    twin pair.
     """
     require_rb_separable(g, c)
     closed = g.closed
@@ -240,18 +238,12 @@ def _gray_blocks(n: int, b: int) -> Iterator[list[int]]:
 def _class_pairs(
     closed: list[int], found: Iterable[int], b: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    # Consecutive vertices of each code class of ``found``: a coloring is
-    # separated by ``found`` iff no such pair is red-blue. Returns the pairs
-    # of two vertices below b, then the others.
-    chosen = mask_of(found)
-    last: dict[int, int] = {}
+    # ``found`` separates a coloring iff none of its ``code_pairs`` is
+    # red-blue. Returns the pairs of two vertices below b, then the others.
     inner: list[tuple[int, int]] = []
     outer: list[tuple[int, int]] = []
-    for v, nbhd in enumerate(closed):
-        code = nbhd & chosen
-        if code in last:
-            (inner if v < b else outer).append((last[code], v))
-        last[code] = v
+    for u, v in code_pairs(closed, mask_of(found)):
+        (inner if v < b else outer).append((u, v))
     return inner, outer
 
 

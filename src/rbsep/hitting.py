@@ -17,9 +17,10 @@ The exact search is iterative deepening (k = 0, 1, 2, ...) around a
 depth-limited branch and bound: branch on the vertices of the mask with the
 lowest id in ``rest``, prune with a greedy packing of pairwise-disjoint masks
 taken in id order (one AND with ``apart`` each). The last two levels are
-decided in place, with no call and no packing bound: with one vertex left to
-pick, the answer is the lowest vertex in the AND of the live masks, and with
-two, each pivot vertex in turn leaves a ``rest`` that this AND decides. Once
+decided in place, in one loop over the pivot's vertices, with no call and no
+packing bound: with one vertex left to pick, the answer is the first pivot
+vertex in every live mask, and with two, each pivot vertex in turn leaves a
+``rest`` whose answer is the lowest vertex in the AND of its masks. Once
 the branch on a pivot vertex fails, the later siblings' subtrees exclude it
 (branch and exclude; Fomin and Kratsch, *Exact Exponential Algorithms*, 2010,
 ch. 2). Ids numbered in ``by_size`` order make the pivot a smallest unhit
@@ -89,26 +90,20 @@ def _search(
         return 0
     if limit <= 0 or classes and classes << limit < 2 * rest.bit_count() + classes:
         return None
-    if limit == 1:
-        # One vertex must lie in every live mask: the lowest of their AND.
-        common = -1
-        while rest and common:
-            low = rest & -rest
-            common &= masks[low.bit_length() - 1]
-            rest ^= low
-        return common & -common or None
     pivot = masks[(rest & -rest).bit_length() - 1] & ~banned
-    if limit == 2:
-        # Each child is the leaf above, decided here without a call and
-        # counted as one node. The packing bound costs more here than it cuts.
+    if limit <= 2:
+        # Decided here without a call or the packing bound (it costs more than
+        # it cuts). A pivot vertex leaving nothing live is the answer; at limit
+        # 2 each child is a node, answered by the lowest vertex in the AND of
+        # the masks it leaves live.
         while pivot:
             low = pivot & -pivot
             pivot ^= low
-            stats[0] += 1
+            stats[0] += limit - 1
             left = rest & keep[low.bit_length() - 1]
             if not left:
                 return low
-            common = -1
+            common = -1 if limit == 2 else 0
             while left and common:
                 bit = left & -left
                 common &= masks[bit.bit_length() - 1]

@@ -76,6 +76,8 @@ def graph_from_text(text: str) -> Graph:
             raise FormatError("non-integer edge endpoint", line=i) from None
         if not u < v:
             raise FormatError(f"edge ({u},{v}) must have u < v", line=i)
+        if u < 0 or v >= n:
+            raise FormatError(f"edge ({u},{v}) out of range for n={n}", line=i)
         edges.append((u, v))
     try:
         return Graph.from_edges(n, edges)

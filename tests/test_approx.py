@@ -187,27 +187,40 @@ def test_rb_solvers_report_the_smallest_rb_twin_pair(gc):
 
 
 def test_twin_classes_runs_once_per_twin_check(monkeypatch):
+    # Each twin check is one ``code_pairs`` pass under the full set (mask -1),
+    # and twin classes are built only to report the twins of a graph that has
+    # them, once.
     calls = []
+    code_pairs = rbsep.graphs.code_pairs
     twin_classes = rbsep.graphs.twin_classes
 
-    def counted(g):
-        calls.append(g)
+    def counted_pairs(closed, smask):
+        calls.append(smask)
+        return code_pairs(closed, smask)
+
+    def counted_classes(g):
+        calls.append("classes")
         return twin_classes(g)
 
-    monkeypatch.setattr(rbsep.graphs, "twin_classes", counted)
+    monkeypatch.setattr(rbsep.graphs, "code_pairs", counted_pairs)
+    monkeypatch.setattr(rbsep.graphs, "twin_classes", counted_classes)
 
     def count(fn, *args):
         calls.clear()
-        fn(*args)
-        return len(calls)
+        try:
+            fn(*args)
+        except NotTwinFree:
+            pass
+        return calls.count(-1), calls.count("classes")
 
     g = gen_random_twin_free(12, 0.3, 7)
     c = Coloring.from_string("RBBRBBBRBBBB")
     assert max(map(g.degree, g.vertices())) >= 3
-    assert count(bounded_degree_construct, g, c) == 1
-    assert count(check_bounds, g) <= 2
-    assert count(sep_rb_exact, g, c) == 1
-    assert count(sep_rb_greedy, g, c) == 1
+    assert count(bounded_degree_construct, g, c) == (1, 0)
+    assert count(check_bounds, g) == (2, 0)  # its own check and maxsep_exact's
+    assert count(sep_rb_exact, g, c) == (1, 0)
+    assert count(sep_rb_greedy, g, c) == (1, 0)
+    assert count(sep_all_pairs_greedy, cycle_graph(3)) == (1, 1)
 
 
 def test_greedy_factor_on_k55():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from rbsep.cli import main
-from rbsep.generators import MAX_SPEC_EDGES, GeneratorSpec, build_from_spec
+from rbsep.generators import MAX_SPEC_EDGES, GeneratorSpec, build_from_spec, gen_random_twin_free
 from rbsep.graphs import Coloring
 from rbsep.io import MAX_GRAPH_ORDER, read_coloring, read_graph, write_coloring, write_graph
 
@@ -97,6 +97,16 @@ def test_parse_error_exit_code(tmp_path):
     assert "line" in res.stderr
 
 
+@pytest.mark.parametrize("edges", ["0 5", "-1 2"])
+def test_edge_endpoint_out_of_range_exits_input_with_its_line(tmp_path, edges):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"3 2\n0 1\n{edges}\n")
+    res = run_cli("maxsep", "--graph", str(bad))
+    assert res.returncode == 2
+    assert "line 3" in res.stderr and "out of range" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cap_exit_code(tmp_path):
     gpath = str(tmp_path / "g.txt")
     write_graph(gpath, path_graph(16))
@@ -113,6 +123,13 @@ def test_maxsep_modes(tmp_path):
     assert res.returncode == 0
     lines = dict(ln.split(" ", 1) for ln in res.stdout.strip().splitlines())
     assert int(lines["upper"]) >= int(lines["lower"])
+    # n = 8 is in LOG_LB_EXCLUDED, where floor(log2 n) = 3 is not a proven
+    # lower bound; one vertex is, since some coloring has a red-blue pair.
+    write_graph(gpath, gen_random_twin_free(8, 0.4, 3))
+    report = str(tmp_path / "r.json")
+    res = run_cli("maxsep", "--graph", gpath, "--mode", "approx", "--out", report)
+    assert res.returncode == 0 and "lower 1\n" in res.stdout
+    assert json.loads(open(report).read())["results"]["maxsep-approx"]["lower_bound"] == 1
 
 
 def test_bounds_command(tmp_path):

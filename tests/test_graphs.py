@@ -10,11 +10,15 @@ from conftest import (
     path_graph,
     star_graph,
 )
+from rbsep.errors import NotTwinFree, Unseparable
 from rbsep.generators import gen_random_twin_free
 from rbsep.graphs import (
     Coloring,
     Graph,
+    code_pairs,
     graph_profile,
+    require_rb_separable,
+    require_twin_free,
     twin_classes,
     verify_dominating,
     verify_rb_separating,
@@ -179,12 +183,32 @@ def test_code_subset_properties(gc, smask):
 @given(graph_and_coloring())
 def test_full_vertex_set_separates_unless_rb_twins(gc):
     g, c = gc
-    violation = verify_rb_separating(g, c, range(g.n))
-    if violation is None:
-        return
-    u, v = violation
-    assert closed_neighborhood(g, u) == closed_neighborhood(g, v)
-    assert c.is_red(u) != c.is_red(v)
+    rb_twins = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if c.is_red(u) != c.is_red(v) and closed_neighborhood(g, u) == closed_neighborhood(g, v)
+    ]
+    assert verify_rb_separating(g, c, range(g.n)) == min(rb_twins, default=None)
+    if rb_twins:
+        with pytest.raises(Unseparable) as exc:
+            require_rb_separable(g, c)
+        assert exc.value.pair == min(rb_twins)
+    else:
+        require_rb_separable(g, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=63), max_size=12),
+    st.integers(min_value=-1, max_value=63),
+)
+def test_code_pairs_against_brute_force_grouping(closed, smask):
+    codes = [nbhd & smask for nbhd in closed]
+    expected = [
+        (codes.index(code), v) for v, code in enumerate(codes) if codes.index(code) < v
+    ]
+    assert list(code_pairs(closed, smask)) == expected
 
 
 @settings(max_examples=120, deadline=None)
@@ -245,6 +269,17 @@ def test_twin_classes_against_pairwise_comparison(gc):
     assert all(list(cls) == sorted(cls) for cls in report.classes)
     firsts = [cls[0] for cls in report.classes]
     assert firsts == sorted(firsts)
+    twins = any(
+        closed_neighborhood(g, u) == closed_neighborhood(g, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )
+    if twins:
+        with pytest.raises(NotTwinFree) as exc:
+            require_twin_free(g)
+        assert exc.value.twin_report == report
+    else:
+        require_twin_free(g)
 
 
 def test_random_twin_free_is_deterministic_and_twin_free():

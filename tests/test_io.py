@@ -28,6 +28,10 @@ def test_graph_parse_errors_carry_line_numbers():
     with pytest.raises(FormatError) as exc:
         graph_from_text("2 2\n0 1\n")
     assert exc.value.line == 1
+    for text in ("3 1\n0 5\n", "3 1\n-1 2\n", "3 2\n0 1\n1 3\n"):
+        with pytest.raises(FormatError, match="out of range") as exc:
+            graph_from_text(text)
+        assert exc.value.line == text.count("\n")
     with pytest.raises(FormatError):
         graph_from_text("x y\n")
     with pytest.raises(FormatError):
