@@ -6,9 +6,11 @@ G(22, 0.3), ``gamma_exact`` on G(44, 0.3) and ``sep_exact_allow_twins`` on a
 G(14, 0.4) grown to 20 vertices by true twins, the sizes that
 ``tests/test_exact.py`` pins, and ``maxsep_exact`` on a twin-free G(12, 0.3)
 at even seeds and a random tree of 12 + (seed // 2) % 5 vertices at odd ones,
-for ``count`` seeds from ``seed`` on. Each line is ``kind seed optimum
-witness``, the witness of ``maxsep`` being the worst coloring; node counts are
-left out, so a kernel change that keeps every answer keeps the output. Usage:
+and ``xp_exact_small_class`` on a twin-free G(28, 0.3) with 2 + seed % 3 red
+vertices, for ``count`` seeds from ``seed`` on. Each line is ``kind seed
+optimum witness``, the witness of ``maxsep`` being the worst coloring; node
+counts are left out, so a kernel change that keeps every answer keeps the
+output. Usage:
 
     python scripts/exact_witnesses.py [count] [seed]
 """
@@ -21,11 +23,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import random  # noqa: E402
 from itertools import combinations  # noqa: E402
 
+from rbsep.approx import xp_exact_small_class  # noqa: E402
 from rbsep.exact import (  # noqa: E402
     gamma_exact, maxsep_exact, sep_exact, sep_exact_allow_twins, sep_rb_exact
 )
 from rbsep.generators import gen_random_tree, gen_random_twin_free  # noqa: E402
-from rbsep.graphs import Coloring, Graph  # noqa: E402
+from rbsep.graphs import Coloring, Graph, mask_of  # noqa: E402
 
 
 def with_twins(rng: random.Random, n: int, k: int) -> Graph:
@@ -56,6 +59,12 @@ def maxsep(s: int) -> tuple[int, str]:
     return report.value, report.worst_coloring.to_string()
 
 
+def xp(s: int) -> tuple[int, str]:
+    reds = random.Random(s).sample(range(28), 2 + s % 3)
+    coloring = Coloring(28, mask_of(reds))
+    return optimum(xp_exact_small_class(gen_random_twin_free(28, 0.3, s), coloring))
+
+
 SOLVES = {
     "rb": lambda s: optimum(sep_rb_exact(
         gen_random_twin_free(28, 0.3, s), Coloring(28, random.Random(s).getrandbits(28))
@@ -64,6 +73,7 @@ SOLVES = {
     "gamma": lambda s: optimum(gamma_exact(gen_random_twin_free(44, 0.3, s))),
     "twins": lambda s: optimum(sep_exact_allow_twins(with_twins(random.Random(s), 20, 14))),
     "maxsep": maxsep,
+    "xp": xp,
 }
 
 

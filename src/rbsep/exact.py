@@ -7,8 +7,8 @@ Every problem is phrased as a hitting-set instance over difference masks:
 
 Minimization runs through the shared iterative-deepening branch and bound,
 which also answers the decision form ("is the optimum <= k?") without
-solving past the budget. Witnesses are certified against the verifiers
-before being reported.
+solving past the budget. Every exact optimum leaves through one exit,
+``_solve_masks``, which certifies its witness against a verifier.
 
 Before any search, ``rb_difference_masks`` calls
 ``graphs.require_rb_separable``, and ``sep_exact`` and ``maxsep_exact`` call
@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from operator import or_, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily
 from .graphs import (
@@ -138,20 +138,23 @@ def split_pairs(x: int, n: int) -> int:
 
 
 def _solve_masks(
-    masks: list[int], budget: int | None, start: float, classes: int = 0
+    start: float,
+    masks: list[int],
+    verify: Callable[[tuple[int, ...]], object],
+    budget: int | None = None,
+    classes: int = 0,
 ) -> SolveReport:
+    # The one exit of the exact solvers: search, certify with ``verify``,
+    # report. ``elapsed_ms`` covers the mask build since ``start`` and the
+    # search. Without a budget the kernel always finds a set.
     stats = [0]
     found = minimum_hitting_set(masks, budget=budget, stats=stats, classes=classes)
     if found is None:
-        raise Infeasible(budget if budget is not None else -1)
+        raise Infeasible(budget)
     witness = bits_of(found)
-    return SolveReport(
-        optimum=len(witness),
-        witness=witness,
-        method="branch-and-bound",
-        nodes_explored=stats[0],
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    certify(verify(witness))
+    return SolveReport(len(witness), witness, "branch-and-bound", stats[0], elapsed_ms)
 
 
 def sep_rb_exact(g: Graph, c: Coloring, budget: int | None = None) -> SolveReport:
@@ -164,9 +167,7 @@ def sep_rb_exact(g: Graph, c: Coloring, budget: int | None = None) -> SolveRepor
     """
     start = time.perf_counter()
     masks = rb_difference_masks(g, c)
-    report = _solve_masks(masks, budget, start)
-    certify(verify_rb_separating(g, c, report.witness))
-    return report
+    return _solve_masks(start, masks, partial(verify_rb_separating, g, c), budget)
 
 
 def sep_exact(g: Graph) -> SolveReport:
@@ -189,18 +190,14 @@ def sep_exact_allow_twins(g: Graph) -> SolveReport:
     """
     start = time.perf_counter()
     masks = [d for d in all_pairs_difference_masks(g) if d]
-    out = _solve_masks(masks, None, start, len(set(g.closed)))
-    certify(verify_separating_allow_twins(g, out.witness))
-    return out
+    verify = partial(verify_separating_allow_twins, g)
+    return _solve_masks(start, masks, verify, classes=len(set(g.closed)))
 
 
 def gamma_exact(g: Graph) -> SolveReport:
     """Minimum dominating set (closed neighborhoods as the hitting instance)."""
     start = time.perf_counter()
-    masks = list(g.closed)
-    out = _solve_masks(masks, None, start)
-    certify(verify_dominating(g, out.witness))
-    return out
+    return _solve_masks(start, list(g.closed), partial(verify_dominating, g))
 
 
 def _parity_preseed_mask(g: Graph) -> int:

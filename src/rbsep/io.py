@@ -65,7 +65,7 @@ def graph_from_text(text: str) -> Graph:
         raise FormatError(f"graph order {n} is outside 0..{MAX_GRAPH_ORDER}", line=1)
     if len(lines) - 1 != m:
         raise FormatError(f"header declares {m} edges but file has {len(lines) - 1}", line=1)
-    edges = []
+    adj = [0] * n
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
@@ -78,11 +78,11 @@ def graph_from_text(text: str) -> Graph:
             raise FormatError(f"edge ({u},{v}) must have u < v", line=i)
         if u < 0 or v >= n:
             raise FormatError(f"edge ({u},{v}) out of range for n={n}", line=i)
-        edges.append((u, v))
-    try:
-        return Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        if adj[u] >> v & 1:
+            raise FormatError(f"duplicate edge ({u},{v})", line=i)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
 
 
 def coloring_to_text(c: Coloring) -> str:

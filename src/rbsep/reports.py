@@ -5,7 +5,8 @@ per-operation results, and any bound checks. Each record is its result
 dataclass's fields by name (``record``); solver records add ``verifies``, the
 claim kind a re-check tests, and maxsep-approx records also carry
 ``upper_bound`` and ``lower_bound``. ``reverify_run_report`` re-reads the
-input files and checks every claimed witness against the verifiers again.
+input files and checks every claimed witness against the verifiers again,
+and the sizes its record claims against the witness's size.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
                 raise ValueError(f"report result {name!r} field {key!r} must be a list of integers")
         if not isinstance(record.get("worst_coloring", ""), str):
             raise ValueError(f"report result {name!r} field 'worst_coloring' must be a string")
+        for key in ("optimum", "optimum_lower_bound", "upper_bound", "lower_bound"):
+            if type(record.get(key, 0)) is not int:
+                raise ValueError(f"report result {name!r} field {key!r} must be an integer")
     return data
 
 
@@ -136,6 +140,14 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
         if witness is None:
             continue
         kind = record.get("verifies", "rb" if coloring is not None else "all-pairs")
-        ok = graph is not None and violation(graph, kind, witness, coloring) is None
+        size = len(set(witness))
+        # An optimum and an approx upper bound are the witness's size; a lower
+        # bound is at most it.
+        ok = (
+            graph is not None
+            and violation(graph, kind, witness, coloring) is None
+            and record.get("optimum", size) == size == record.get("upper_bound", size)
+            and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= size
+        )
         outcomes.append((f"witness:{key}", ok))
     return outcomes

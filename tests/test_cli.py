@@ -97,13 +97,17 @@ def test_parse_error_exit_code(tmp_path):
     assert "line" in res.stderr
 
 
-@pytest.mark.parametrize("edges", ["0 5", "-1 2"])
-def test_edge_endpoint_out_of_range_exits_input_with_its_line(tmp_path, edges):
+@pytest.mark.parametrize(
+    "edges, error",
+    [("0 5", "out of range"), ("-1 2", "out of range"), ("0 1", "duplicate edge (0,1)")],
+    ids=["0 5", "-1 2", "0 1"],
+)
+def test_edge_endpoint_out_of_range_exits_input_with_its_line(tmp_path, edges, error):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"3 2\n0 1\n{edges}\n")
     res = run_cli("maxsep", "--graph", str(bad))
     assert res.returncode == 2
-    assert "line 3" in res.stderr and "out of range" in res.stderr
+    assert "line 3" in res.stderr and error in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -293,6 +297,7 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
         ({"witness": ["a"], "verifies": "all-pairs"}, "'witness'"),
         ({"solution": "0 1"}, "'solution'"),
         ({"value": 2, "worst_coloring": 5}, "'worst_coloring'"),
+        ({"witness": [0], "optimum": "1"}, "'optimum'"),
     ],
 )
 def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, record, field):
@@ -316,6 +321,31 @@ def test_verify_report_fails_a_witness_without_a_graph(tmp_path, capsys):
     )
     assert main(["verify", "--report", str(path)]) == 1
     assert "recheck witness:exact FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, key, edit",
+    [
+        (["solve", "--method", "exact"], "exact", {"optimum": 1}),
+        (["solve", "--method", "greedy"], "greedy", {"optimum_lower_bound": 4}),
+        (["maxsep", "--mode", "approx"], "maxsep-approx", {"upper_bound": 0, "lower_bound": 9}),
+        (["maxsep", "--mode", "approx"], "maxsep-approx", {"lower_bound": 5}),
+    ],
+)
+def test_verify_report_rechecks_claimed_sizes(tmp_path, capsys, command, key, edit):
+    # P4 colored RBRB: the optimum is 3, the witness (0, 1, 2).
+    gpath, cpath, out = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "r.json"
+    write_graph(gpath, path_graph(4))
+    write_coloring(cpath, Coloring.from_string("RBRB"))
+    inputs = ["--graph", str(gpath)] + (["--coloring", str(cpath)] if command[0] == "solve" else [])
+    assert main([*command, *inputs, "--out", str(out)]) == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["results"][key].update(edit)
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    assert f"recheck witness:{key} FAIL" in capsys.readouterr().out
 
 
 def test_generate_rejects_oversized_order(tmp_path, capsys):

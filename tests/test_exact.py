@@ -112,12 +112,23 @@ def test_sep_allow_twins_complete_multipartite():
     assert sep_exact(g).optimum == 8  # K_{5,5} is closed-twin-free anyway
 
 
-def test_sep_allow_twins_witness_is_certified(monkeypatch):
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g: sep_rb_exact(g, Coloring.from_string("RBRB")),
+        sep_exact,
+        sep_exact_allow_twins,
+        gamma_exact,
+    ],
+    ids=["sep_rb_exact", "sep_exact", "sep_exact_allow_twins", "gamma_exact"],
+)
+def test_sep_allow_twins_witness_is_certified(monkeypatch, solve):
+    # Every exact solver leaves through the one certifying exit.
     monkeypatch.setattr(
         rbsep.exact, "minimum_hitting_set", lambda masks, budget=None, stats=None, classes=0: 0
     )
     with pytest.raises(CertificationError):
-        sep_exact_allow_twins(path_graph(4))
+        solve(path_graph(4))
 
 
 def test_gamma_exact_values():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from conftest import path_graph
 from rbsep.errors import FormatError
-from rbsep.graphs import Coloring
+from rbsep.generators import gen_random_tree
+from rbsep.graphs import Coloring, Graph
 from rbsep.io import (
     MAX_GRAPH_ORDER,
     coloring_from_text,
@@ -36,6 +39,32 @@ def test_graph_parse_errors_carry_line_numbers():
         graph_from_text("x y\n")
     with pytest.raises(FormatError):
         graph_from_text("")
+
+
+def random_graphs(count: int):
+    # Seeded G(n, p) with n = 0..29 and random trees of 1..30 vertices.
+    for seed in range(count):
+        rng = random.Random(seed)
+        n, p = rng.randrange(30), rng.random()
+        yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        yield gen_random_tree(1 + seed % 30, seed)
+
+
+def test_graph_reader_round_trips_random_graphs_and_trees():
+    for g in random_graphs(200):
+        assert graph_from_text(graph_to_text(g)) == g
+
+
+def test_duplicate_edge_is_reported_at_the_repeat():
+    for g in random_graphs(40):
+        head, *edges = graph_to_text(g).splitlines()
+        n, m = map(int, head.split())
+        for j, edge in enumerate(edges):
+            for at in {j + 1, m}:
+                lines = [f"{n} {m + 1}", *edges[:at], edge, *edges[at:]]
+                with pytest.raises(FormatError, match="duplicate edge") as exc:
+                    graph_from_text("\n".join(lines) + "\n")
+                assert exc.value.line == at + 2
 
 
 def test_graph_order_is_bounded_before_allocation():
