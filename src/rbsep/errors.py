@@ -60,15 +60,17 @@ class CapExceeded(RBSepError):
 class SearchTooDeep(RBSepError):
     """The exact search needs more nested calls than Python's recursion limit.
 
-    Every size below ``depth`` was refuted, so the optimum is at least
-    ``depth``; the search at that size did not finish.
+    The optimum is at least ``lower``, the root's packing of pairwise
+    disjoint masks, and at most ``upper``, the size of the smallest set
+    found; the search for a set below ``upper`` did not finish.
     """
 
-    def __init__(self, depth: int):
-        self.depth = depth
+    def __init__(self, lower: int, upper: int):
+        self.lower = lower
+        self.upper = upper
         super().__init__(
-            f"no set of size below {depth} exists, and a search at size {depth} "
-            "exceeds Python's recursion limit"
+            f"the optimum is between {lower} and {upper}: a set of size {upper} was "
+            "found, and the search for a smaller one exceeds Python's recursion limit"
         )
 
 

@@ -5,9 +5,9 @@ Every problem is phrased as a hitting-set instance over difference masks:
 * a set S separates a pair (u, v) iff S meets N[u] xor N[v];
 * S dominates v iff S meets N[v].
 
-Minimization runs through the shared iterative-deepening branch and bound,
-which also answers the decision form ("is the optimum <= k?") without
-solving past the budget. Every exact optimum leaves through one exit,
+Minimization runs through the shared branch and bound, which searches down
+from the greedy's set and also answers the decision form ("is the optimum
+<= k?") without solving past the budget. Every exact optimum leaves through one exit,
 ``_solve_masks``, which certifies its witness against a verifier.
 
 Before any search, ``rb_difference_masks`` calls

@@ -93,16 +93,29 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        symmetric = True
+        bits = upper = 0
+        for v, row in enumerate(adj):
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise ValueError(f"vertex {v} has neighbors out of range")
-        for v, row in enumerate(self.adj):
-            for u in bits_of(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            # Each u > v in row v must have v in row u. Then the rows are
+            # symmetric iff they hold as many bits above their vertex as below.
+            high = row >> v
+            bits += row.bit_count()
+            upper += high.bit_count()
+            while symmetric and high:
+                low = high & -high
+                symmetric = adj[v + low.bit_length() - 1] >> v & 1
+                high ^= low
+        if not symmetric or 2 * upper != bits:
+            for v, row in enumerate(adj):
+                for u in bits_of(row):
+                    if not adj[u] >> v & 1:
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

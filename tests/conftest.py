@@ -267,16 +267,41 @@ def first_dfs_hitting_set(sets, live, limit):
     """First set of at most ``limit`` elements that plain DFS finds, or None.
 
     ``sets`` is a list of nonempty sets and ``live`` the indices still to
-    hit. The search branches on the elements of the lowest live index in
-    ascending order, with no bound and no shortcut, so it fixes which set a
-    pruned search must return.
+    hit. The search branches on the elements of the lowest live index, with
+    no bound and no shortcut, so it fixes which set a pruned search must
+    return. With ``limit`` >= 3 it tries first the element in the most live
+    sets, ties to the lower; with 1 or 2 elements left, in ascending order.
     """
     if not live:
         return frozenset()
     if limit <= 0:
         return None
-    for v in sorted(sets[min(live)]):
+    order = sorted(sets[min(live)])
+    if limit >= 3:
+        order.sort(key=lambda v: sum(v not in sets[i] for i in live))  # stable: lower first
+    for v in order:
         sub = first_dfs_hitting_set(sets, [i for i in live if v not in sets[i]], limit - 1)
         if sub is not None:
             return sub | {v}
     return None
+
+
+def searched_down_hitting_set(sets):
+    """The set a search down from the greedy's set returns for ``sets``.
+
+    The greedy takes the element in the most sets not hit yet, the lowest on
+    ties, until every set is hit. Then, while ``first_dfs_hitting_set``
+    finds a set smaller than the incumbent, that set is the incumbent.
+    """
+    live = list(range(len(sets)))
+    best: set = set()
+    left = live
+    while left:
+        v = max(sorted(set().union(*(sets[i] for i in left))),
+                key=lambda v: sum(v in sets[i] for i in left))
+        best.add(v)
+        left = [i for i in left if v not in sets[i]]
+    best = frozenset(best)
+    while best and (found := first_dfs_hitting_set(sets, live, len(best) - 1)) is not None:
+        best = found
+    return best

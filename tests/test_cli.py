@@ -71,13 +71,23 @@ def test_budget_outside_exact_exits_input(tmp_path, extra):
 
 
 def test_search_too_deep_exits_cap_without_traceback(tmp_path):
-    # gamma of an edgeless graph is its order, deeper than the default
-    # recursion limit of the kernel's depth-first search.
+    # gamma of an edgeless graph is its order: the greedy's set, proven
+    # optimal at the root by the packing bound, so no search goes deep.
     gpath = tmp_path / "edgeless.txt"
     gpath.write_text("1100 0\n")
     res = run_cli("bounds", "--graph", str(gpath))
+    assert res.returncode == 0
+    assert "gamma 1100" in res.stdout
+    # 60 disjoint 5-cycles: gamma is 120, the root packing 60, and the search
+    # below 120 goes deeper than a lowered recursion limit.
+    edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(60) for i in range(5)]
+    gpath = tmp_path / "cycles.txt"
+    gpath.write_text("300 300\n" + "".join(f"{min(e)} {max(e)}\n" for e in edges))
+    code = "import sys; sys.setrecursionlimit(100); from rbsep.cli import main; sys.exit(main())"
+    argv = [sys.executable, "-c", code, "bounds", "--graph", str(gpath)]
+    res = subprocess.run(argv, capture_output=True, text=True)
     assert res.returncode == 3
-    assert "too deep" in res.stdout
+    assert "too deep" in res.stdout and "between 60 and 120" in res.stdout
     assert "Traceback" not in res.stderr
 
 

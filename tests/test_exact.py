@@ -11,15 +11,17 @@ import pytest
 from conftest import (
     brute_maxsep,
     brute_maxsep_sweep,
+    brute_min_hitting_set,
     brute_min_dom,
+    brute_rb_twin_pair,
     brute_min_rb_sep,
     brute_min_sep,
     cached_sweep_universes,
     closed_neighborhood,
     complete_bipartite,
     cycle_graph,
-    first_dfs_hitting_set,
     path_graph,
+    searched_down_hitting_set,
 )
 import rbsep
 from rbsep.errors import (
@@ -50,7 +52,7 @@ from rbsep.graphs import (
     verify_rb_separating,
     verify_separating,
 )
-from rbsep.hitting import by_size, greedy_hitting_set, minimum_hitting_set
+from rbsep.hitting import by_size, columns, greedy_hitting_set, minimum_hitting_set
 
 
 def test_sep_rb_exact_p6_single_separator_coloring():
@@ -138,13 +140,28 @@ def test_gamma_exact_values():
 
 
 def test_gamma_too_deep_raises_search_too_deep():
-    # gamma of an edgeless graph is its order. The packing bound refutes
-    # every smaller size at the root; the search at size 1100 needs 1100
-    # nested calls, more than the default recursion limit.
-    with pytest.raises(SearchTooDeep) as info:
-        gamma_exact(Graph.from_edges(1100, []))
+    # gamma of an edgeless graph is its order: the greedy's set, which the
+    # packing bound proves optimal at the root, with no recursion.
+    report = gamma_exact(Graph.from_edges(1100, []))
+    assert (report.optimum, report.witness, report.nodes_explored) == (1100, tuple(range(1100)), 1)
+    # 60 disjoint 5-cycles: gamma = 120 and the greedy finds 120, but no two
+    # closed neighbourhoods of a 5-cycle are disjoint, so the root packing is
+    # 60. The search for 119 recurses once per chosen vertex, deeper than
+    # the lowered limit; the error claims only what was proven.
+    g = Graph.from_edges(300, [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(60) for i in range(5)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        with pytest.raises(SearchTooDeep) as info:
+            gamma_exact(g)
+    finally:
+        sys.setrecursionlimit(limit)
     assert isinstance(info.value, RBSepError)
-    assert info.value.depth == 1100
+    assert (info.value.lower, info.value.upper) == (60, 120)
+    assert "between 60 and 120" in str(info.value)
 
 
 def test_gamma_matches_brute_force():
@@ -335,8 +352,8 @@ def _twin_quotient(g: Graph) -> Graph:
 
 
 def test_sep_allow_twins_matches_brute_on_graphs_with_twins():
-    # The class bound counts twin classes; the witness is still the first
-    # set plain DFS finds, with no bound and no exclusion.
+    # The class bound counts twin classes; the witness is still the set a
+    # search down from the greedy's set finds with no bound and no exclusion.
     rng = random.Random(41)
     for _ in range(80):
         n = rng.randint(2, 9)
@@ -344,26 +361,79 @@ def test_sep_allow_twins_matches_brute_on_graphs_with_twins():
         report = sep_exact_allow_twins(g)
         assert report.optimum == brute_min_sep(_twin_quotient(g))[0]
         masks = sorted({d for d in all_pairs_difference_masks(g) if d}, key=by_size)
-        sets = [frozenset(bits_of(m)) for m in masks]
-        expected = first_dfs_hitting_set(sets, list(range(len(sets))), report.optimum)
+        expected = searched_down_hitting_set([frozenset(bits_of(m)) for m in masks])
         assert frozenset(report.witness) == expected
 
 
 def test_sep_allow_twins_bounds_by_twin_classes():
     # Each distinct unhit mask is a pair of twin classes, so the class bound
-    # may count classes rather than vertices, and then prunes more.
+    # may count classes rather than vertices, and then prunes more. It acts
+    # in the refutations, measured here at every budget below the optimum.
     rng = random.Random(43)
     fewer = 0
     for _ in range(6):
         g = _with_twins(rng, 16, rng.randint(8, 14))
         masks = [d for d in all_pairs_difference_masks(g) if d]
-        stats = [0]
-        found = minimum_hitting_set(masks, stats=stats, classes=g.n)
         report = sep_exact_allow_twins(g)
-        assert report.witness == bits_of(found)
-        assert report.nodes_explored <= stats[0]
-        fewer += report.nodes_explored < stats[0]
+        assert report.witness == bits_of(minimum_hitting_set(masks, classes=g.n))
+        nodes = {}
+        for classes in (g.n, len(set(g.closed))):
+            stats = [0]
+            for budget in range(report.optimum):
+                assert minimum_hitting_set(masks, budget, stats, classes) is None
+            nodes[classes] = stats[0]
+        assert nodes[len(set(g.closed))] <= nodes[g.n]
+        fewer += nodes[len(set(g.closed))] < nodes[g.n]
     assert fewer >= 3
+
+
+def _graph_with_twins(rng: random.Random) -> Graph:
+    # At most 9 vertices: G(k, 0.4) and true twins, or a twin-free G(n, p).
+    n = rng.randint(1, 9)
+    if rng.random() < 0.5:
+        return _with_twins(rng, n, rng.randint(1, n))
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.4]
+    )
+
+
+def test_exact_optima_match_the_brute_force_oracles():
+    # Searching down from the greedy's set keeps every optimum: red-blue,
+    # twins-exempt sep and gamma against enumeration, twins included.
+    rng = random.Random(44)
+    for _ in range(120):
+        g = _graph_with_twins(rng)
+        c = Coloring(g.n, rng.getrandbits(g.n))
+        assert gamma_exact(g).optimum == brute_min_dom(g)
+        assert sep_exact_allow_twins(g).optimum == brute_min_sep(_twin_quotient(g))[0]
+        if brute_rb_twin_pair(g, c) is None:
+            assert sep_rb_exact(g, c).optimum == brute_min_rb_sep(g, c)[0]
+        else:
+            with pytest.raises(Unseparable):
+                sep_rb_exact(g, c)
+
+
+def test_budget_decides_at_the_optimum_and_the_greedy_size():
+    # For each budget in {opt - 1, opt, greedy - 1, greedy}: None iff the
+    # budget is below the optimum, else a hitting set within the budget.
+    rng = random.Random(45)
+    for _ in range(120):
+        g = _graph_with_twins(rng)
+        c = Coloring(g.n, rng.getrandbits(g.n))
+        for masks in (
+            [d for d in all_pairs_difference_masks(g) if d],
+            list(g.closed),
+            [] if brute_rb_twin_pair(g, c) else rbsep.exact.rb_difference_masks(g, c),
+        ):
+            distinct = sorted(set(masks), key=by_size)
+            rest = (1 << len(distinct)) - 1
+            greedy = len(greedy_hitting_set(columns(distinct, g.n), rest))
+            opt = brute_min_hitting_set(frozenset(bits_of(m)) for m in distinct)
+            for budget in (opt - 1, opt, greedy - 1, greedy):
+                found = minimum_hitting_set(masks, budget)
+                assert (found is None) == (budget < opt)
+                if found is not None:
+                    assert found.bit_count() <= budget and all(m & found for m in masks)
 
 
 def test_bondy_remove_examples():
@@ -467,16 +537,16 @@ def test_certification_holds_under_python_O():
 # (seed, coloring, sep_rb witness, sep witness, gamma witness, maxsep value,
 # worst coloring) on trees (seed % 3 == 0) and G(n, 0.3) with n = 9 + seed % 4.
 PINNED = [
-    (0, "BRBRBBBRR", (1, 4, 6, 7), (1, 2, 3, 4, 6), (0, 5, 6), 5, "BRBRRBRRB"),
-    (1, "RRBBRBBBRB", (0, 1, 9), (0, 1, 2, 4, 5, 7), (0, 1, 2, 3, 5), 5, "BRRBBRRRBB"),
+    (0, "BRBRBBBRR", (2, 3, 4, 6), (1, 4, 6, 7, 8), (0, 5, 6), 5, "BRBRRBRRB"),
+    (1, "RRBBRBBBRB", (0, 1, 9), (0, 1, 3, 4, 5, 7), (0, 1, 2, 3, 5), 5, "BRRBBRRRBB"),
     (2, "RRRBBRRRBBB", (3, 7, 8), (1, 2, 3, 4, 6, 9), (3, 6, 9, 10), 5, "BBBRRRBBRRB"),
-    (3, "RBRRRBBRRRRB", (1, 5, 6), (0, 1, 4, 5, 7, 9), (0, 1, 2, 4, 7), 6, "BBBRRBRRBBBB"),
+    (3, "RBRRRBBRRRRB", (1, 5, 6), (0, 2, 4, 5, 7, 9), (0, 1, 2, 8, 9), 6, "BBBRRBRRBBBB"),
     (4, "RBBBRRRRB", (1, 8), (0, 2, 3, 4), (0, 1), 4, "BBRRRBBBB"),
-    (5, "RRBRBBBBBR", (2, 3, 4), (1, 2, 3, 5), (7, 9), 4, "BBBRBRRBBB"),
-    (6, "BRBRBBRBRBB", (0, 1, 7, 10), (0, 1, 2, 3, 7, 8), (0, 1, 4, 9), 5, "BBRBRRBRBRB"),
+    (5, "RRBRBBBBBR", (2, 3, 6), (1, 2, 3, 7), (7, 9), 4, "BBBRBRRBBB"),
+    (6, "BRBRBBRBRBB", (0, 1, 7, 10), (0, 1, 3, 6, 7, 10), (0, 1, 4, 9), 5, "BBRBRRBRBRB"),
     (7, "BBRRRBRBBRBR", (0, 2, 5), (0, 1, 4, 6, 7, 8), (0, 2, 3), 5, "BRRRRRBBBBBB"),
-    (8, "BBBRBRRRB", (1, 2, 8), (2, 3, 4, 5), (0, 2, 4), 4, "BBRRRBRRR"),
-    (9, "BBRBRRBRRR", (1, 4, 5, 9), (0, 1, 4, 5, 9), (1, 2, 3, 5), 5, "BBRRBRBRBB"),
+    (8, "BBBRBRRRB", (4, 5, 7), (2, 4, 5, 7), (0, 2, 4), 4, "BBRRRBRRR"),
+    (9, "BBRBRRBRRR", (2, 4, 5, 9), (0, 2, 3, 4, 5), (1, 2, 3, 5), 5, "BBRRBRBRBB"),
 ]
 
 
@@ -496,14 +566,15 @@ def test_exact_witnesses_are_pinned(seed, coloring, rb, sep, gamma, value, worst
 # (optimum, witness, nodes_explored) per seed, on larger graphs than PINNED:
 # rb on G(28, 0.3), sep on G(22, 0.3), gamma on G(44, 0.3), and the
 # twins-exempt sep on 20-vertex graphs with twins. A kernel change that moves a
-# witness or a node count must re-pin these and say why. rb seed 1 read 246
-# nodes while the packing bound also ran at ``limit == 2``; that level is now
-# decided in place without the bound, so the children it cut there count.
+# witness or a node count must re-pin these and say why. The kernel searches
+# down from the greedy's set and tries the pivot vertex that hits the most
+# live masks first, so the witness is the first set of that order, found
+# below the greedy's size, and the nodes are those of the searches down.
 PINNED_SEARCH = {
-    "rb": [(5, (5, 12, 16, 18, 20), 810), (5, (7, 11, 16, 17, 19), 250), (5, (4, 6, 7, 11, 26), 486)],
-    "sep": [(6, (7, 12, 16, 19, 20, 21), 255), (6, (1, 2, 14, 15, 17, 21), 179), (6, (3, 6, 12, 16, 19, 21), 375)],
-    "gamma": [(5, (0, 5, 25, 28, 34), 662), (4, (0, 6, 20, 35), 79), (4, (2, 15, 21, 33), 84)],
-    "twins": [(5, (1, 3, 4, 7, 10), 24), (5, (0, 1, 5, 6, 7), 37)],
+    "rb": [(5, (12, 20, 25, 26, 27), 288), (5, (5, 6, 7, 17, 19), 132), (5, (4, 6, 7, 11, 26), 206)],
+    "sep": [(6, (7, 12, 16, 19, 20, 21), 92), (6, (0, 1, 7, 10, 19, 21), 87), (6, (6, 8, 9, 14, 16, 21), 243)],
+    "gamma": [(5, (10, 27, 29, 33, 40), 449), (4, (0, 6, 20, 35), 74), (4, (2, 15, 21, 33), 63)],
+    "twins": [(5, (3, 4, 6, 7, 13), 14), (5, (1, 4, 8, 9, 10), 25)],
 }
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,41 @@ def test_graph_construction_validates():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(2, (1,))  # wrong adjacency length
+
+
+def _reference_adjacency_error(n, adj):
+    # Row by row: a self-loop or a neighbor out of range; then the first
+    # (v, u) in row order with u in row v and v not in row u.
+    rows = [{u for u in range(adj[v].bit_length()) if adj[v] >> u & 1} for v in range(n)]
+    for v, row in enumerate(rows):
+        if v in row:
+            return f"self-loop at vertex {v}"
+        if any(u >= n for u in row):
+            return f"vertex {v} has neighbors out of range"
+    for v, row in enumerate(rows):
+        for u in sorted(row):
+            if v not in rows[u]:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def test_graph_constructor_names_the_reference_error():
+    # The constructor checks only the pairs u > v and the bit totals; it must
+    # accept and reject as the pair-by-pair check does, naming the same pair.
+    rng = random.Random(12)
+    for trial in range(600):
+        n = rng.randint(1, 9)
+        adj = list(gen_random_twin_free(n, 0.4, trial).adj) if trial % 3 else [0] * n
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            v = rng.randrange(n)
+            adj[v] ^= 1 << rng.randrange(n + (trial % 7 == 0))
+        expected = _reference_adjacency_error(n, adj)
+        if expected is None:
+            assert Graph(n, tuple(adj)).adj == tuple(adj)
+        else:
+            with pytest.raises(ValueError) as info:
+                Graph(n, tuple(adj))
+            assert str(info.value) == expected
 
 
 def test_closed_neighborhood_examples():

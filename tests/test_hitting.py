@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import brute_min_hitting_set, first_dfs_hitting_set
+from conftest import brute_min_hitting_set, first_dfs_hitting_set, searched_down_hitting_set
 import rbsep.hitting
 from rbsep.exact import all_pairs_difference_masks
 from rbsep.generators import gen_random_twin_free
+from rbsep.graphs import mask_of
 from rbsep.hitting import by_size, columns, hitting_set_within, instance, minimum_hitting_set
 
 
@@ -108,7 +109,8 @@ def test_hitting_set_within_decides_as_the_oracle():
 
 def test_hitting_set_within_returns_the_first_dfs_set():
     # The packing bound and the last-level rule may only cut subtrees with
-    # no solution, so the set found is the one plain DFS finds first.
+    # no solution, so the set found is the one plain DFS finds first, with
+    # the kernel's branch order: most live masks hit first above limit 2.
     rng = random.Random(5)
     for _ in range(150):
         masks, n = random_family(rng)
@@ -172,13 +174,23 @@ def test_limit_two_skips_banned_pivot_vertices_only():
 
 
 def test_minimum_hitting_set_returns_the_first_dfs_set():
+    # Searching down from the greedy's set returns the first DFS set below
+    # the last incumbent whose own search down is refuted. Where the greedy
+    # is optimal that is the greedy's set, so half the families have masks
+    # of 2 or 3 vertices, where the greedy is often above the optimum and
+    # the searches below it branch at limit 3 and more.
     rng = random.Random(6)
-    for _ in range(150):
-        masks, _n = random_family(rng)
+    for trial in range(300):
+        if trial % 2:
+            n = rng.randint(8, 16)
+            masks = [mask_of(rng.sample(range(n), rng.randint(2, 3)))
+                     for _ in range(rng.randint(10, 30))]
+        else:
+            masks, _n = random_family(rng)
         sets = [as_set(m) for m in sorted(set(masks), key=by_size)]
-        live = list(range(len(sets)))
-        opt = brute_min_hitting_set(sets)
-        assert as_set(minimum_hitting_set(masks)) == first_dfs_hitting_set(sets, live, opt)
+        expected = searched_down_hitting_set(sets)
+        assert len(expected) == brute_min_hitting_set(sets)
+        assert as_set(minimum_hitting_set(masks)) == expected
 
 
 @pytest.mark.parametrize("seed", range(3))

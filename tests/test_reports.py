@@ -22,10 +22,11 @@ COLORING = "RBBRBRB\n"
 GRAPH_SHA = "b8cf9af94c47f1ee3d3b74903667d8005b462b7761ed87db4cbc1e5e1b571ba8"
 COLORING_SHA = "11675ca66d2e9c4f243a81bf47c5e3b14702800fb4330ad6f8410b1e50b003e9"
 
-# 7 nodes: the kernel's ``limit == 2`` level skips the packing bound, which
-# read 6 nodes when it ran there.
+# 2 nodes: the greedy's set {1, 2, 4} is the incumbent, and the one search
+# below it, at limit 2, refutes size 2 in one node and one child tried. The
+# deepening searches at sizes 0, 1 and 2 and then 3 read 7.
 EXACT = {
-    "method": "branch-and-bound", "nodes_explored": 7, "optimum": 3,
+    "method": "branch-and-bound", "nodes_explored": 2, "optimum": 3,
     "verifies": "rb", "witness": [1, 2, 4],
 }
 
