@@ -13,6 +13,7 @@ import argparse
 import csv
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import approx, bounds, exact, generators, io, reports
@@ -306,7 +307,17 @@ def _echo(args) -> list[str]:
     return ["rbsep"] + list(getattr(args, "_argv", sys.argv[1:]))
 
 
+def cap(text: str) -> int:
+    """A ``--cap`` or ``--sep-cap`` value: a vertex count, so at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap is a graph order >= 0, not {value}")
+    return value
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command, built on first use."""
     parser = argparse.ArgumentParser(
         prog="rbsep", description="Red-blue separation solvers and experiments"
     )
@@ -321,21 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exact", "greedy", "triangle-free", "bounded-degree", "xp", "auto"],
     )
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--sep-cap", type=int, default=bounds.SEP_DEFAULT_CAP)
+    p.add_argument("--sep-cap", type=cap, default=bounds.SEP_DEFAULT_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("maxsep", help="worst-coloring separation cost")
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", default="exact", choices=["exact", "approx"])
-    p.add_argument("--cap", type=int, default=exact.MAXSEP_DEFAULT_CAP)
+    p.add_argument("--cap", type=cap, default=exact.MAXSEP_DEFAULT_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_maxsep)
 
     p = sub.add_parser("bounds", help="evaluate parameter inequalities")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, default=exact.MAXSEP_DEFAULT_CAP)
-    p.add_argument("--sep-cap", type=int, default=bounds.SEP_DEFAULT_CAP)
+    p.add_argument("--cap", type=cap, default=exact.MAXSEP_DEFAULT_CAP)
+    p.add_argument("--sep-cap", type=cap, default=bounds.SEP_DEFAULT_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 

@@ -17,8 +17,8 @@ zero, so ``sep_exact`` is the twin-free case of ``sep_exact_allow_twins``.
 
 ``split_pairs`` numbers the pairs lexicographically, for the greedy routes.
 The worst-coloring sweep numbers them in ``hitting.by_size`` order of their
-masks, so its bitset of red-blue pairs is both the greedy's universe and the
-exact kernel's ``rest``.
+masks, ties in ``combinations`` order, so its bitset of red-blue pairs is
+both the greedy's universe and the exact kernel's ``rest``.
 
 The sweep orders the colorings by the reflected binary Gray code (Knuth,
 TAOCP 4A, 7.2.1.1) and takes them in blocks of up to 2^16 steps: per block,
@@ -26,6 +26,9 @@ each vertex has one bitset whose bit r says whether it is red at step r of
 the block. A set S separates every coloring that is constant on each code
 class of S, so the sweep caches, for each set it finds, the pairs of
 ``graphs.code_pairs``: each vertex with the first member of its class. A set
+with more classes covers more, so a set smaller than the incumbent is first
+padded up to the incumbent's size with the first vertices the greedy takes
+over the pairs it leaves unsplit (none when it splits them all). A set
 covers the steps at which both ends of each of its pairs have one color: an
 AND of XORs over a whole block. In blocks of 2^b steps, the bitsets of
 vertices below b are the same in every block, so each set keeps the AND over
@@ -61,7 +64,7 @@ from .graphs import (
     verify_separating_allow_twins,
 )
 from .hitting import (
-    by_size, columns, greedy_hitting_set, hitting_set_within, instance, minimum_hitting_set
+    columns, greedy_hitting_set, hitting_set_within, instance, minimum_hitting_set
 )
 
 __all__ = [
@@ -261,12 +264,15 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     symmetry halves the space) in Gray-code order, after the bipartite-parity
     coloring. Pairs are numbered once, in ``hitting.by_size`` order of their
     difference masks; the greedy and the exact kernel read the same bitset of
-    red-blue pair ids. Each set the greedy or a decision finds has size at
-    most the incumbent, so no coloring it separates can raise the incumbent:
-    the sweep skips every step of a block that some cached set covers, and
-    solves the lowest step left. That step gets a greedy bound; only where
-    the bound exceeds the incumbent do exact decisions run. Each bitset spans
-    at most 2^16 steps, whatever n is.
+    red-blue pair ids. The lowest step no cached set covers is solved: it
+    gets a greedy bound, and only where the bound exceeds the incumbent do
+    exact decisions run. Its set, the greedy's or a decision's, is padded to
+    the incumbent's size by the greedy over the pairs it leaves unsplit, and
+    cached. No cached set is larger than the incumbent, so no coloring it
+    covers can raise the incumbent: the sweep skips every step of a block
+    that some cached set covers, and the worst coloring is the first one in
+    sweep order whose cost is the value. Each bitset spans at most 2^16
+    steps, whatever n is.
 
     Requires a twin-free graph of order at most ``n_cap``.
     """
@@ -278,14 +284,19 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
         return MaxSepReport(0, Coloring(0, 0), 1)
 
     closed = g.closed
-    pairs = sorted(combinations(range(n), 2), key=lambda p: by_size(closed[p[0]] ^ closed[p[1]]))
-    masks = [closed[u] ^ closed[w] for u, w in pairs]
+    # ``hitting.by_size`` order; equal masks keep ``combinations`` order.
+    keyed = sorted(
+        ((d := closed[u] ^ closed[w]).bit_count(), d, u, w) for u, w in combinations(range(n), 2)
+    )
+    pairs = [(u, w) for _, _, u, w in keyed]
+    masks = [d for _, d, _, _ in keyed]
     cols = columns(masks, n)
     flips = [0] * n  # flips[v]: the pairs whose red-blue status v's color flips
     for i, (u, w) in enumerate(pairs):
         flips[u] |= 1 << i
         flips[w] |= 1 << i
     kernel = instance(masks, cols)
+    everything = (1 << len(masks)) - 1
 
     stats = [0]
     best = 0
@@ -305,6 +316,12 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
             while (within := hitting_set_within(*kernel, active, best, stats)) is None:
                 best, best_red = best + 1, red
             found = bits_of(within)
+        if len(found) < best:
+            # Pad with the greedy's first vertices over the pairs left unsplit:
+            # more classes cover more colorings, none costing more than best.
+            unsplit = everything & ~reduce(or_, (cols[v] for v in found), 0)
+            if unsplit:
+                found = [*found, *greedy_hitting_set(cols, unsplit)[: best - len(found)]]
         inner, outer = _class_pairs(closed, found, b)
         cache.append((_covered(inner, reds, full), outer))
         return cache[-1]

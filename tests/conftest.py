@@ -169,7 +169,10 @@ def cached_sweep_universes(g: Graph) -> list[int]:
     the pairs left unseparated by a set found at an earlier coloring.
     Otherwise the greedy runs, and when its set is larger than the
     incumbent, the decision climb raises the incumbent until a set within
-    it is found; that set, or else the greedy's, is cached.
+    it is found; that set, or else the greedy's, is cached. A cached set
+    smaller than the incumbent is padded with the first vertices the greedy
+    takes over the pairs it leaves unseparated, up to the incumbent's size;
+    that greedy run's universe is listed after the coloring's.
     """
     nb = closed_sets(g)
     pairs = sorted(
@@ -198,10 +201,14 @@ def cached_sweep_universes(g: Graph) -> list[int]:
             while (within := hitting_set_within(masks, apart, keep, active, best, [0])) is None:
                 best += 1
             found = [v for v in range(g.n) if within >> v & 1]
-        hit = 0
+        unsplit = everything
         for v in found:
-            hit |= cols[v]
-        misses.append(everything & ~hit)
+            unsplit &= ~cols[v]
+        if len(found) < best and unsplit:
+            universes.append(unsplit)
+            for v in greedy_hitting_set(cols, unsplit)[: best - len(found)]:
+                unsplit &= ~cols[v]
+        misses.append(unsplit)
     return universes
 
 

@@ -128,6 +128,24 @@ def test_cap_exit_code(tmp_path):
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["maxsep", "--cap", "-1"],
+    ["bounds", "--cap", "-1"],
+    ["bounds", "--sep-cap", "-5"],
+    ["solve", "--coloring", "c.txt", "--sep-cap", "-1"],
+])
+def test_negative_cap_exits_input_without_traceback(tmp_path, argv):
+    # A negative cap once read as "cap exceeded" (exit 3) on maxsep, and on
+    # bounds skipped the checks that need sep or maxsep with exit 0.
+    write_graph(tmp_path / "g.txt", path_graph(3))
+    write_coloring(tmp_path / "c.txt", Coloring.from_string("RBR"))
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    res = run_cli(*argv, "--graph", str(tmp_path / "g.txt"))
+    assert res.returncode == 2
+    assert f"argument {argv[-2]}: a cap is a graph order >= 0, not {argv[-1]}" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def test_maxsep_modes(tmp_path):
     gpath = str(tmp_path / "g.txt")
     write_graph(gpath, path_graph(6))

@@ -20,6 +20,8 @@ from conftest import (
     closed_neighborhood,
     complete_bipartite,
     cycle_graph,
+    is_rb_separating,
+    is_separating,
     path_graph,
     searched_down_hitting_set,
 )
@@ -44,7 +46,9 @@ from rbsep.exact import (
     sep_rb_exact,
     split_pairs,
 )
-from rbsep.generators import gen_half_graph_complement, gen_random_tree, gen_random_twin_free
+from rbsep.generators import (
+    GeneratorSpec, build_from_spec, gen_half_graph_complement, gen_random_tree, gen_random_twin_free
+)
 from rbsep.graphs import (
     Coloring,
     Graph,
@@ -234,6 +238,60 @@ def test_maxsep_solves_the_colorings_of_the_cached_sweep(monkeypatch, seed, bloc
     n = 3 + seed // 2
     g = gen_random_tree(n, seed) if seed % 2 else gen_random_twin_free(n, 0.3, seed)
     assert _greedy_universes(monkeypatch, g)[1] == cached_sweep_universes(g)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_maxsep_caches_sets_within_the_incumbent(monkeypatch, seed):
+    # Every cached set has the incumbent's size when it is cached, unless it
+    # already splits every pair; the incumbent is the largest brute-force
+    # optimum over the colorings solved so far. Each coloring is read back
+    # from the first greedy universe after the last cached set: its red
+    # vertices w are those whose pair (0, w) is red-blue. n = 3..8, trees and
+    # twin-free G(n, 0.3).
+    n = 3 + seed // 2
+    g = gen_random_tree(n, seed) if seed % 2 else gen_random_twin_free(n, 0.3, seed)
+    pairs = sorted(
+        combinations(range(n), 2), key=lambda p: by_size(g.closed[p[0]] ^ g.closed[p[1]])
+    )
+    events: list = []
+    greedy, class_pairs = rbsep.exact.greedy_hitting_set, rbsep.exact._class_pairs
+
+    def recording_greedy(cols, universe):
+        events.append(universe)
+        return greedy(cols, universe)
+
+    def recording_class_pairs(closed, found, b):
+        events.append(tuple(found))
+        return class_pairs(closed, found, b)
+
+    monkeypatch.setattr(rbsep.exact, "greedy_hitting_set", recording_greedy)
+    monkeypatch.setattr(rbsep.exact, "_class_pairs", recording_class_pairs)
+    report = maxsep_exact(g)
+    incumbent, active = 0, None
+    for event in events:
+        if isinstance(event, int):
+            active = event if active is None else active
+            continue
+        red = sum(1 << w for i, (u, w) in enumerate(pairs) if u == 0 and active >> i & 1)
+        c = Coloring(n, red)
+        incumbent = max(incumbent, brute_min_rb_sep(g, c)[0])
+        assert is_rb_separating(g, c, event)
+        assert len(event) == incumbent or len(event) < incumbent and is_separating(g, event)
+        active = None
+    assert incumbent == report.value
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"half-complement:k={k}" for k in (1, 2, 3)),
+    *(f"power-set:k={k}" for k in (1, 2, 3)),
+    "spider:k=1",
+])
+def test_maxsep_matches_the_sweep_oracle_on_the_families(spec):
+    # The maxsep rows of ``rbsep experiment --suite families`` of at most 8
+    # vertices; the larger ones take the oracle seconds.
+    g, _ = build_from_spec(GeneratorSpec.parse(spec))
+    report = maxsep_exact(g)
+    assert (report.value, report.worst_coloring) == brute_maxsep_sweep(g)
 
 
 @pytest.mark.parametrize("n", range(1, 12))
