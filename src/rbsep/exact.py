@@ -18,7 +18,7 @@ zero, so ``sep_exact`` is the twin-free case of ``sep_exact_allow_twins``.
 ``split_pairs`` numbers the pairs lexicographically, for the greedy routes.
 The worst-coloring sweep numbers them in ``hitting.by_size`` order of their
 masks, ties in ``combinations`` order, so its bitset of red-blue pairs is
-both the greedy's universe and the exact kernel's ``rest``.
+the exact kernel's ``rest``.
 
 The sweep orders the colorings by the reflected binary Gray code (Knuth,
 TAOCP 4A, 7.2.1.1) and takes them in blocks of up to 2^16 steps: per block,
@@ -33,7 +33,8 @@ covers the steps at which both ends of each of its pairs have one color: an
 AND of XORs over a whole block. In blocks of 2^b steps, the bitsets of
 vertices below b are the same in every block, so each set keeps the AND over
 its pairs among them, and a block ANDs in only its other pairs. Only the
-lowest step no cached set covers is solved, one at a time.
+lowest step no cached set covers is solved, one at a time, by the kernel's
+decision at the incumbent's size.
 
 All solvers are single-threaded and reentrant: they share no mutable state,
 so callers may run many instances in parallel.
@@ -263,16 +264,15 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     Sweeps the 2^(n-1) colorings with vertex 0 fixed blue (color-swap
     symmetry halves the space) in Gray-code order, after the bipartite-parity
     coloring. Pairs are numbered once, in ``hitting.by_size`` order of their
-    difference masks; the greedy and the exact kernel read the same bitset of
-    red-blue pair ids. The lowest step no cached set covers is solved: it
-    gets a greedy bound, and only where the bound exceeds the incumbent do
-    exact decisions run. Its set, the greedy's or a decision's, is padded to
-    the incumbent's size by the greedy over the pairs it leaves unsplit, and
-    cached. No cached set is larger than the incumbent, so no coloring it
-    covers can raise the incumbent: the sweep skips every step of a block
-    that some cached set covers, and the worst coloring is the first one in
-    sweep order whose cost is the value. Each bitset spans at most 2^16
-    steps, whatever n is.
+    difference masks; the exact kernel reads a coloring's red-blue pair ids
+    as one bitset. The lowest step no cached set covers is solved by the
+    kernel's decision within the incumbent, which rises by one while the
+    decision fails. The set found is padded to the incumbent's size by the
+    greedy over the pairs it leaves unsplit, and cached. No cached set is
+    larger than the incumbent, so no coloring it covers can raise the
+    incumbent: the sweep skips every step of a block that some cached set
+    covers, and the worst coloring is the first one in sweep order whose
+    cost is the value. Each bitset spans at most 2^16 steps, whatever n is.
 
     Requires a twin-free graph of order at most ``n_cap``.
     """
@@ -305,17 +305,15 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     cache: list[tuple[int, list[tuple[int, int]]]] = []
 
     def solve(red: int, reds: list[int]) -> tuple[int, list[tuple[int, int]]]:
-        # Bound the coloring ``red`` and raise the incumbent if it costs more.
+        # Solve the coloring ``red``, raising the incumbent while it costs more.
         # Cache the set that separates it as the steps its class pairs below
         # vertex b cover, the same in every block (so are their columns), and
         # its other class pairs.
         nonlocal best, best_red
         active = reduce(xor, (flips[w] for w in bits_of(red)), 0)
-        found = greedy_hitting_set(cols, active)
-        if len(found) > best:
-            while (within := hitting_set_within(*kernel, active, best, stats)) is None:
-                best, best_red = best + 1, red
-            found = bits_of(within)
+        while (within := hitting_set_within(*kernel, active, best, stats)) is None:
+            best, best_red = best + 1, red
+        found = bits_of(within)
         if len(found) < best:
             # Pad with the greedy's first vertices over the pairs left unsplit:
             # more classes cover more colorings, none costing more than best.

@@ -33,7 +33,7 @@ from .errors import (
     TwinFreeUnreachable,
     Uncoverable,
 )
-from .graphs import Coloring, Graph, twin_classes
+from .graphs import Coloring, Graph, code_pairs
 from .io import MAX_GRAPH_ORDER
 
 __all__ = [
@@ -474,7 +474,7 @@ def gen_random_twin_free(
             if rng.random() < edge_prob
         ]
         g = Graph.from_edges(n, edges)
-        if twin_classes(g).is_twin_free:
+        if next(code_pairs(g.closed, -1), None) is None:
             return g
     raise TwinFreeUnreachable(n, edge_prob, max_tries)
 

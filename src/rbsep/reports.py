@@ -107,8 +107,8 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
 
     Returns (claim, ok) pairs; digest mismatches fail the corresponding
     claim rather than raising, and so does every claim that cannot be
-    checked (a witness without a graph input, an rb witness without a
-    coloring input).
+    checked (a witness without a graph input or with a vertex outside it,
+    an rb witness without a coloring input).
     """
     outcomes: list[tuple[str, bool]] = []
     inputs = data.get("inputs", {})
@@ -145,6 +145,7 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
         # bound is at most it.
         ok = (
             graph is not None
+            and all(0 <= v < graph.n for v in witness)
             and violation(graph, kind, witness, coloring) is None
             and record.get("optimum", size) == size == record.get("upper_bound", size)
             and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= size

@@ -160,19 +160,18 @@ def brute_maxsep_sweep(g: Graph) -> tuple[int, Coloring]:
 
 
 def cached_sweep_universes(g: Graph) -> list[int]:
-    """Universes the witness-cached sweep hands the greedy, one coloring at a time.
+    """Universes the witness-cached sweep solves, one coloring at a time.
 
     The sweep visits the parity coloring, then the Gray steps of
     ``brute_maxsep_sweep``. Pairs are numbered in ``by_size`` order of their
     difference masks, and a coloring's universe is the bitset of its
     red-blue pair ids. A coloring is skipped when its red-blue pairs avoid
     the pairs left unseparated by a set found at an earlier coloring.
-    Otherwise the greedy runs, and when its set is larger than the
-    incumbent, the decision climb raises the incumbent until a set within
-    it is found; that set, or else the greedy's, is cached. A cached set
-    smaller than the incumbent is padded with the first vertices the greedy
-    takes over the pairs it leaves unseparated, up to the incumbent's size;
-    that greedy run's universe is listed after the coloring's.
+    Otherwise the decision climb raises the incumbent until the kernel finds
+    a set within it, and that set is cached. A cached set smaller than the
+    incumbent is padded with the first vertices the greedy takes over the
+    pairs it leaves unseparated, up to the incumbent's size; that greedy
+    run's universe is listed after the coloring's.
     """
     nb = closed_sets(g)
     pairs = sorted(
@@ -196,11 +195,9 @@ def cached_sweep_universes(g: Graph) -> list[int]:
         if any(not active & miss for miss in misses):
             continue
         universes.append(active)
-        found = greedy_hitting_set(cols, active)
-        if len(found) > best:
-            while (within := hitting_set_within(masks, apart, keep, active, best, [0])) is None:
-                best += 1
-            found = [v for v in range(g.n) if within >> v & 1]
+        while (within := hitting_set_within(masks, apart, keep, active, best, [0])) is None:
+            best += 1
+        found = [v for v in range(g.n) if within >> v & 1]
         unsplit = everything
         for v in found:
             unsplit &= ~cols[v]

@@ -376,6 +376,23 @@ def test_verify_report_rechecks_claimed_sizes(tmp_path, capsys, command, key, ed
     assert f"recheck witness:{key} FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("vertex", [99, -1])
+def test_verify_report_fails_an_out_of_range_witness(tmp_path, capsys, vertex):
+    # A vertex outside the graph fails its claim; the other claims still print.
+    gpath, cpath, out = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "r.json"
+    write_graph(gpath, path_graph(4))
+    write_coloring(cpath, Coloring.from_string("RBRB"))
+    inputs = ["--graph", str(gpath), "--coloring", str(cpath)]
+    assert main(["solve", "--method", "exact", *inputs, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["results"]["bad"] = {**data["results"]["exact"], "witness": [vertex]}
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "recheck witness:bad FAIL" in printed and "recheck witness:exact ok" in printed
+
+
 def test_generate_rejects_oversized_order(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert main(["generate", "--spec", "tree:n=10001", "--out-prefix", prefix]) == 2

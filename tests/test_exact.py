@@ -56,7 +56,9 @@ from rbsep.graphs import (
     verify_rb_separating,
     verify_separating,
 )
-from rbsep.hitting import by_size, columns, greedy_hitting_set, minimum_hitting_set
+from rbsep.hitting import (
+    by_size, columns, greedy_hitting_set, hitting_set_within, minimum_hitting_set
+)
 
 
 def test_sep_rb_exact_p6_single_separator_coloring():
@@ -209,35 +211,60 @@ def test_maxsep_matches_the_sweep_oracle(seed):
     assert (report.value, report.worst_coloring) == (value, worst)
 
 
-def _greedy_universes(monkeypatch, g: Graph) -> tuple[rbsep.MaxSepReport, list[int]]:
+def _solved_universes(monkeypatch, g: Graph) -> tuple[rbsep.MaxSepReport, list[int]]:
+    # Per solved coloring, the ``rest`` of its first decision (the climb
+    # repeats it), then the universe of its padding greedy run, if any.
     calls = []
+    decided = [None]
 
-    def recording(cols, universe):
+    def deciding(masks, apart, keep, rest, limit, stats):
+        if rest != decided[0]:
+            decided[0] = rest
+            calls.append(rest)
+        return hitting_set_within(masks, apart, keep, rest, limit, stats)
+
+    def padding(cols, universe):
         calls.append(universe)
         return greedy_hitting_set(cols, universe)
 
-    monkeypatch.setattr(rbsep.exact, "greedy_hitting_set", recording)
+    monkeypatch.setattr(rbsep.exact, "hitting_set_within", deciding)
+    monkeypatch.setattr(rbsep.exact, "greedy_hitting_set", padding)
     return maxsep_exact(g), calls
+
+
+# Colorings solved per graph below; the sweep has 2048.
+_SWEEP_SOLVES = (24, 22, 1, 17, 16, 28, 16, 17)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_maxsep_cache_skips_most_greedy_runs(monkeypatch, seed):
+    # Counts the colorings the sweep solves, each one a cached set: at most
+    # one in eight, and exactly the pinned count, 141 over the 8 graphs, so
+    # a weaker cache or padding fails. n = 12, trees and twin-free G(12, 0.3).
     g = gen_random_twin_free(12, 0.3, seed) if seed % 2 else gen_random_tree(12, seed)
-    report, calls = _greedy_universes(monkeypatch, g)
-    assert report.per_coloring_count == 2048
-    assert len(calls) <= 2048 // 8
+    cached = []
+    class_pairs = rbsep.exact._class_pairs
+
+    def recording(closed, found, b):
+        cached.append(found)
+        return class_pairs(closed, found, b)
+
+    monkeypatch.setattr(rbsep.exact, "_class_pairs", recording)
+    assert maxsep_exact(g).per_coloring_count == 2048
+    assert len(cached) <= 2048 // 8
+    assert len(cached) == _SWEEP_SOLVES[seed]
 
 
 @pytest.mark.parametrize("block_bits", [16, 1, 2, 3])
 @pytest.mark.parametrize("seed", range(20))
 def test_maxsep_solves_the_colorings_of_the_cached_sweep(monkeypatch, seed, block_bits):
-    # The block sweep must hand the greedy the universes of the one-at-a-time
-    # cached sweep, in its order; small blocks run the multi-block path.
-    # n = 3..12, trees and twin-free G(n, 0.3).
+    # The block sweep must solve the colorings of the one-at-a-time cached
+    # sweep, in its order, and pad over the same universes; small blocks run
+    # the multi-block path. n = 3..12, trees and twin-free G(n, 0.3).
     monkeypatch.setattr(rbsep.exact, "_BLOCK_BITS", block_bits)
     n = 3 + seed // 2
     g = gen_random_tree(n, seed) if seed % 2 else gen_random_twin_free(n, 0.3, seed)
-    assert _greedy_universes(monkeypatch, g)[1] == cached_sweep_universes(g)
+    assert _solved_universes(monkeypatch, g)[1] == cached_sweep_universes(g)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -245,7 +272,7 @@ def test_maxsep_caches_sets_within_the_incumbent(monkeypatch, seed):
     # Every cached set has the incumbent's size when it is cached, unless it
     # already splits every pair; the incumbent is the largest brute-force
     # optimum over the colorings solved so far. Each coloring is read back
-    # from the first greedy universe after the last cached set: its red
+    # from the first decision's ``rest`` after the last cached set: its red
     # vertices w are those whose pair (0, w) is red-blue. n = 3..8, trees and
     # twin-free G(n, 0.3).
     n = 3 + seed // 2
@@ -254,17 +281,17 @@ def test_maxsep_caches_sets_within_the_incumbent(monkeypatch, seed):
         combinations(range(n), 2), key=lambda p: by_size(g.closed[p[0]] ^ g.closed[p[1]])
     )
     events: list = []
-    greedy, class_pairs = rbsep.exact.greedy_hitting_set, rbsep.exact._class_pairs
+    decide, class_pairs = rbsep.exact.hitting_set_within, rbsep.exact._class_pairs
 
-    def recording_greedy(cols, universe):
-        events.append(universe)
-        return greedy(cols, universe)
+    def recording_decision(masks, apart, keep, rest, limit, stats):
+        events.append(rest)
+        return decide(masks, apart, keep, rest, limit, stats)
 
     def recording_class_pairs(closed, found, b):
         events.append(tuple(found))
         return class_pairs(closed, found, b)
 
-    monkeypatch.setattr(rbsep.exact, "greedy_hitting_set", recording_greedy)
+    monkeypatch.setattr(rbsep.exact, "hitting_set_within", recording_decision)
     monkeypatch.setattr(rbsep.exact, "_class_pairs", recording_class_pairs)
     report = maxsep_exact(g)
     incumbent, active = 0, None
