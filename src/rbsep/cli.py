@@ -315,6 +315,14 @@ def cap(text: str) -> int:
     return value
 
 
+def budget(text: str) -> int:
+    """A ``--budget`` value: a set size, so at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget is a set size >= 0, not {value}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of every command, built on first use."""
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["exact", "greedy", "triangle-free", "bounded-degree", "xp", "auto"],
     )
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=budget, default=None)
     p.add_argument("--sep-cap", type=cap, default=bounds.SEP_DEFAULT_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)

@@ -5,13 +5,15 @@ to the same problem: given a list of nonempty vertex masks, find a smallest
 vertex set intersecting every mask. The solvers wrap this kernel with their
 own mask derivations.
 
-``columns(masks, n)`` transposes the masks through one base-2 text of n digits
-per mask. The exact search reads complements: choosing v turns the bitset
-``rest`` of live mask ids into ``rest & keep[v]``, ``keep[v]`` being
+``columns(masks, n)`` transposes the masks through one text of ``bin`` rows,
+``"0b1"`` and n digits per mask, and reads column v as every (n + 3)-th
+character of it. The exact search reads complements: choosing v turns the
+bitset ``rest`` of live mask ids into ``rest & keep[v]``, ``keep[v]`` being
 ``~cols[v]``, and ``apart[i]``, the AND of ``keep`` over mask i, holds the
 masks disjoint from it. The search reaches one mask in eight or so, hence
-``instance`` fills ``apart[i]`` on first read; the search reads the vertices
-of a mask straight from its bits.
+``instance`` fills ``apart[i]`` on first read, selecting ``keep`` entries by
+the digits of the mask's ``bin`` text; the search reads the vertices of a
+mask straight from its bits.
 
 The exact search starts from the set of ``greedy_hitting_set`` on the
 kernel's own columns and searches down: a depth-limited branch and bound at
@@ -38,10 +40,11 @@ depth-first search in this branch order finds.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import and_
 
 from .errors import SearchTooDeep
-from .graphs import bits_of, mask_of
+from .graphs import mask_of
 
 __all__ = ["by_size", "columns", "instance", "greedy_hitting_set", "minimum_hitting_set",
            "hitting_set_within"]
@@ -59,9 +62,12 @@ def columns(masks: list[int], n: int) -> list[int]:
     """
     if max(masks, default=0) >> n:
         raise ValueError(f"a mask is wider than n = {n} bits")
-    # n-digit rows, last mask first: digit v of a row is n - 1 - v from its left.
-    text = "".join([bin(m | 1 << n)[3:] for m in reversed(masks)])
-    return [int(text[n - 1 - v :: n] or "0", 2) for v in range(n)]
+    if not masks:
+        return [0] * n
+    # Rows "0b1" plus n digits, last mask first: digit v of a row is n + 2 - v
+    # from its left, and a row is n + 3 characters long.
+    text = "".join(map(bin, map((1 << n).__or__, reversed(masks))))
+    return [int(text[n + 2 - v :: n + 3], 2) for v in range(n)]
 
 
 class _OnRead(dict):
@@ -75,6 +81,9 @@ class _OnRead(dict):
         return out
 
 
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def instance(masks: list[int], cols: list[int]) -> tuple[list[int], dict, list[int]]:
     """``(masks, apart, keep)`` of ``masks`` with columns ``cols``, for the search.
 
@@ -82,7 +91,10 @@ def instance(masks: list[int], cols: list[int]) -> tuple[list[int], dict, list[i
     vertices of ``masks[i]``, fills on first read, once per mask.
     """
     keep = [~col for col in cols]
-    apart: dict = _OnRead(lambda i: reduce(and_, map(keep.__getitem__, bits_of(masks[i])), -1))
+    # Mask i's bits, lowest first, as bytes 0 and 1: the selectors of ``keep``.
+    apart: dict = _OnRead(
+        lambda i: reduce(and_, compress(keep, bin(masks[i])[:1:-1].encode().translate(_DIGITS)), -1)
+    )
     return masks, apart, keep
 
 

@@ -133,16 +133,19 @@ def test_cap_exit_code(tmp_path):
     ["bounds", "--cap", "-1"],
     ["bounds", "--sep-cap", "-5"],
     ["solve", "--coloring", "c.txt", "--sep-cap", "-1"],
+    ["solve", "--coloring", "c.txt", "--budget", "-1"],
 ])
 def test_negative_cap_exits_input_without_traceback(tmp_path, argv):
     # A negative cap once read as "cap exceeded" (exit 3) on maxsep, and on
-    # bounds skipped the checks that need sep or maxsep with exit 0.
+    # bounds skipped the checks that need sep or maxsep with exit 0. A
+    # negative budget once answered "no solution within budget -1" (exit 1).
     write_graph(tmp_path / "g.txt", path_graph(3))
     write_coloring(tmp_path / "c.txt", Coloring.from_string("RBR"))
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
     res = run_cli(*argv, "--graph", str(tmp_path / "g.txt"))
     assert res.returncode == 2
-    assert f"argument {argv[-2]}: a cap is a graph order >= 0, not {argv[-1]}" in res.stderr
+    what = "a budget is a set size" if argv[-2] == "--budget" else "a cap is a graph order"
+    assert f"argument {argv[-2]}: {what} >= 0, not {argv[-1]}" in res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
 
 

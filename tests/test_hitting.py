@@ -23,6 +23,17 @@ def random_family(rng: random.Random) -> tuple[list[int], int]:
     return masks, n
 
 
+def wide_family(rng: random.Random) -> tuple[list[int], int]:
+    # Masks of 31 to 130 bits span several of CPython's 30-bit int digits:
+    # dense ones, sparser ones, and repeats.
+    n = rng.randint(31, 130)
+    masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 40))]
+    masks += [m & rng.getrandbits(n) | 1 << rng.randrange(n) for m in masks[:4]]
+    masks += [rng.choice(masks) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(masks)
+    return masks, n
+
+
 def test_columns_transpose_the_masks():
     masks = [0b011, 0b110, 0b101, 0b110]
     assert columns(masks, 4) == [0b0101, 0b1011, 0b1110, 0]
@@ -40,8 +51,8 @@ def test_columns_rejects_a_mask_wider_than_n():
 
 def test_columns_match_a_set_transpose():
     rng = random.Random(7)
-    for _ in range(150):
-        masks, n = random_family(rng)
+    for family in [random_family] * 150 + [wide_family] * 40:
+        masks, n = family(rng)
         n += rng.randint(0, 2)  # spare columns stay empty
         sets = [as_set(m) for m in masks]
         expected = [sum(1 << i for i, s in enumerate(sets) if v in s) for v in range(n)]
@@ -50,8 +61,8 @@ def test_columns_match_a_set_transpose():
 
 def test_instance_fills_on_read_as_the_eager_maps():
     rng = random.Random(8)
-    for _ in range(150):
-        masks, n = random_family(rng)
+    for family in [random_family] * 150 + [wide_family] * 40:
+        masks, n = family(rng)
         cols = columns(masks, n)
         same, apart, keep = instance(masks, cols)
         assert same is masks and keep == [~col for col in cols]
