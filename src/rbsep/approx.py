@@ -3,9 +3,11 @@
 The greedy route treats red-blue separation as set cover (elements are the
 red-blue pairs, each vertex covers the ``split_pairs`` it separates) and
 runs the kernel's max-coverage greedy, a (ln|U| + 1)-factor method;
-|U| <= n^2/4 makes that at most 2 ln n here. The same template with all
-vertex pairs as the universe approximates the uncolored separation number,
-and via sep(G) <= ceil(log2 n) * maxsep_RB(G) also maxsep within O(ln^2 n).
+|U| <= n^2/4 makes that at most 2 ln n here. ``split_pairs`` numbers the
+pairs lexicographically, as ``exact.all_pairs_difference_masks`` lists their
+masks. The same template with all vertex pairs as the universe approximates
+the uncolored separation number, and via sep(G) <= ceil(log2 n) *
+maxsep_RB(G) also maxsep within O(ln^2 n).
 ``reduce_rb_to_set_cover`` writes the instance out as a ``SetSystem`` for
 ``rbsep reduce``.
 
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CertificationError, Infeasible, NotTriangleFree, Uncoverable
-from .exact import SolveReport, rb_difference_masks, sep_rb_exact, split_pairs
+from .exact import SolveReport, rb_difference_masks, sep_rb_exact
 from .graphs import (
     Coloring,
     Graph,
@@ -107,6 +109,23 @@ def reduce_rb_to_set_cover(g: Graph, c: Coloring) -> SetSystem:
     cols = columns(rb_difference_masks(g, c), g.n)
     pairs = tuple((r, b) for r in c.red_vertices() for b in c.blue_vertices())
     return SetSystem(len(pairs), pairs, tuple((v, bits_of(col)) for v, col in enumerate(cols)))
+
+
+def split_pairs(x: int, n: int) -> int:
+    """Bitset of the pairs u < w < n with exactly one endpoint in ``x``.
+
+    Pair (u, w) is bit ``u*n - u*(u+1)/2 + w - u - 1``, the index of its
+    mask in ``exact.all_pairs_difference_masks``. With ``x`` = N[v] these
+    are the pairs v separates; with the red mask, the red-blue pairs.
+    """
+    out = 0
+    offset = 0
+    for u in range(n - 1):
+        row = n - 1 - u
+        other = ~x if x >> u & 1 else x
+        out |= (other >> (u + 1) & ((1 << row) - 1)) << offset
+        offset += row
+    return out
 
 
 def _greedy_cover(cols: list[int], universe: int) -> ApproxReport:
@@ -218,11 +237,6 @@ def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
     return ApproxReport(solution, float(bound), 0 if not small else 1)
 
 
-def _blue_dominators(g: Graph, v: int, big: tuple[int, ...]) -> list[int]:
-    open_nbhd = g.adj[v]
-    return [w for w in big if open_nbhd & ~g.closed[w] == 0]
-
-
 def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
     """Separating set of size <= Delta * min(|R|, |B|), Delta >= 3.
 
@@ -259,7 +273,7 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
         return kit
 
     for v in small:
-        dominators = _blue_dominators(g, v, big)
+        dominators = [w for w in big if g.adj[v] & ~closed[w] == 0]
         if dominators:
             w = dominators[0]
             seed = {v, w}

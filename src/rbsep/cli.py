@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import random
 import sys
 import time
 from functools import cache
@@ -217,14 +218,12 @@ def _experiment_ratio(writer, seed: int, sizes: list[int]) -> None:
             "coloring", "sep_rb", "greedy_size", "greedy_ratio_ok",
         ]
     )
-    import random as _random
-
     checks = (
         "floor_log2_le_maxsep",
         "sep_le_ceil_log2_n_times_maxsep",
         "sep_le_ceil_log2_deg1_times_maxsep_plus_gamma",
     )
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for n in sizes:
         for _rep in range(3):
             sub = rng.randrange(1 << 30)
@@ -258,12 +257,10 @@ def _fuzz_row(writer, spec: str, kind: str, n: int, check: str, fn, *args) -> No
 
 
 def _experiment_fuzz(writer, seed: int, sizes: list[int]) -> None:
-    import random as _random
-
     from .trees import tree_all_pairs_construct, tree_rb_construct
 
     writer.writerow(["spec", "kind", "n", "check", "result"])
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for n in sizes:
         for _rep in range(3):
             sub = rng.randrange(1 << 30)

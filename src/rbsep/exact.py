@@ -15,10 +15,9 @@ Before any search, ``rb_difference_masks`` calls
 ``graphs.require_twin_free``. On a twin-free graph no difference mask is
 zero, so ``sep_exact`` is the twin-free case of ``sep_exact_allow_twins``.
 
-``split_pairs`` numbers the pairs lexicographically, for the greedy routes.
-The worst-coloring sweep numbers them in ``hitting.by_size`` order of their
-masks, ties in ``combinations`` order, so its bitset of red-blue pairs is
-the exact kernel's ``rest``.
+The worst-coloring sweep numbers the pairs in ``hitting.by_size`` order of
+their masks, ties in ``combinations`` order, so its bitset of red-blue pairs
+is the exact kernel's ``rest``.
 
 The sweep orders the colorings by the reflected binary Gray code (Knuth,
 TAOCP 4A, 7.2.1.1) and takes them in blocks of up to 2^16 steps: per block,
@@ -77,7 +76,6 @@ __all__ = [
     "gamma_exact",
     "maxsep_exact",
     "bondy_remove",
-    "split_pairs",
 ]
 
 MAXSEP_DEFAULT_CAP = 14
@@ -122,23 +120,6 @@ def all_pairs_difference_masks(g: Graph) -> list[int]:
     """Difference masks over all unordered vertex pairs (twins give zeros)."""
     closed = g.closed
     return [closed[u] ^ closed[v] for u in range(g.n) for v in range(u + 1, g.n)]
-
-
-def split_pairs(x: int, n: int) -> int:
-    """Bitset of the pairs u < w < n with exactly one endpoint in ``x``.
-
-    Pair (u, w) is bit ``u*n - u*(u+1)/2 + w - u - 1``, the index of its
-    mask in ``all_pairs_difference_masks``. With ``x`` = N[v] these are the
-    pairs v separates; with the red mask, the red-blue pairs.
-    """
-    out = 0
-    offset = 0
-    for u in range(n - 1):
-        row = n - 1 - u
-        other = ~x if x >> u & 1 else x
-        out |= (other >> (u + 1) & ((1 << row) - 1)) << offset
-        offset += row
-    return out
 
 
 def _solve_masks(
@@ -288,11 +269,10 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     keyed = sorted(
         ((d := closed[u] ^ closed[w]).bit_count(), d, u, w) for u, w in combinations(range(n), 2)
     )
-    pairs = [(u, w) for _, _, u, w in keyed]
     masks = [d for _, d, _, _ in keyed]
     cols = columns(masks, n)
     flips = [0] * n  # flips[v]: the pairs whose red-blue status v's color flips
-    for i, (u, w) in enumerate(pairs):
+    for i, (_, _, u, w) in enumerate(keyed):
         flips[u] |= 1 << i
         flips[w] |= 1 << i
     kernel = instance(masks, cols)

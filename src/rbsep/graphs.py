@@ -21,13 +21,13 @@ red-blue twin pair. ``violation`` is the one table from a claim's kind
 (``rb``, ``all-pairs``, ``dominating``) to its verifier.
 
 One pass, ``code_pairs``, pairs each vertex with the first vertex of its code
-class. It answers both all-pairs verifiers, both twin checks (under V a code
-is N[v]) and the sweep cache in ``exact``. ``verify_rb_separating`` is the one
-pair loop left. Routed through ``_first_clash``, it took the benchmark's
-``poly_scale`` from a median ``wall_s`` of 2.70 to 0.39 s, but its
-``peak_rss_mb`` from 37.4 to 107.0 MB, because the benchmark's worker keeps
-every output until the run ends (seed 0, three 30-s runs each, on a shared
-2-vCPU VM with Python 3.11).
+class. It answers both all-pairs verifiers, every twin check (under V a code
+is N[v]), ``graph_profile``'s too, and the sweep cache in ``exact``.
+``verify_rb_separating`` is the one pair loop left. Routed through
+``_first_clash``, it took the benchmark's ``poly_scale`` from a median
+``wall_s`` of 2.70 to 0.39 s, but its ``peak_rss_mb`` from 37.4 to 107.0 MB,
+because the benchmark's worker keeps every output until the run ends (seed
+0, three 30-s runs each, on a shared 2-vCPU VM with Python 3.11).
 """
 
 from __future__ import annotations
@@ -403,12 +403,7 @@ def is_connected(g: Graph) -> bool:
 
 def is_triangle_free(g: Graph) -> bool:
     """Exact triangle check over every edge's common neighborhood."""
-    for u in range(g.n):
-        row = g.adj[u] >> (u + 1) << (u + 1)
-        for v in bits_of(row):
-            if g.adj[u] & g.adj[v]:
-                return False
-    return True
+    return not any(g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
 def is_tree(g: Graph) -> bool:
@@ -425,5 +420,5 @@ def graph_profile(g: Graph) -> GraphProfile:
         triangle_free=is_triangle_free(g),
         connected=is_connected(g),
         is_tree=is_tree(g),
-        twin_free=twin_classes(g).is_twin_free,
+        twin_free=next(code_pairs(g.closed, -1), None) is None,
     )

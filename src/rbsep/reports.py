@@ -6,7 +6,9 @@ dataclass's fields by name (``record``); solver records add ``verifies``, the
 claim kind a re-check tests, and maxsep-approx records also carry
 ``upper_bound`` and ``lower_bound``. ``reverify_run_report`` re-reads the
 input files and checks every claimed witness against the verifiers again,
-and the sizes its record claims against the witness's size.
+the sizes its record claims against the witness's size, a maxsep lower bound
+against ``bounds.maxsep_lower_bound``, and that a worst coloring is an R/B
+string of the graph's order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
-from .graphs import Coloring, violation
+from .bounds import maxsep_lower_bound
+from .graphs import BLUE, RED, Coloring, violation
 from .io import read_coloring, read_graph
 
 __all__ = [
@@ -130,25 +133,23 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
         if not isinstance(record, dict):
             continue
         if "worst_coloring" in record:
-            outcomes.append(
-                (
-                    f"coloring-length:{key}",
-                    graph is not None and len(record["worst_coloring"]) == graph.n,
-                )
-            )
+            worst = record["worst_coloring"]
+            ok = graph is not None and len(worst) == graph.n and set(worst) <= {RED, BLUE}
+            outcomes.append((f"coloring-length:{key}", ok))
         witness = record.get("witness", record.get("solution"))
         if witness is None:
             continue
         kind = record.get("verifies", "rb" if coloring is not None else "all-pairs")
         size = len(set(witness))
         # An optimum and an approx upper bound are the witness's size; a lower
-        # bound is at most it.
+        # bound is at most it, and a maxsep lower bound at most the proven one.
         ok = (
             graph is not None
             and all(0 <= v < graph.n for v in witness)
             and violation(graph, kind, witness, coloring) is None
             and record.get("optimum", size) == size == record.get("upper_bound", size)
             and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= size
+            and record.get("lower_bound", 0) <= maxsep_lower_bound(graph.n)
         )
         outcomes.append((f"witness:{key}", ok))
     return outcomes

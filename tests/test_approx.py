@@ -26,6 +26,7 @@ from rbsep.approx import (
     sep_all_pairs_greedy,
     sep_rb_greedy,
     set_system_to_text,
+    split_pairs,
     triangle_free_construct,
     xp_exact_small_class,
 )
@@ -36,7 +37,7 @@ from rbsep.errors import (
     Uncoverable,
     Unseparable,
 )
-from rbsep.exact import sep_rb_exact
+from rbsep.exact import all_pairs_difference_masks, sep_rb_exact
 from rbsep.generators import gen_half_graph_complement, gen_random_twin_free
 from rbsep.graphs import (
     Coloring,
@@ -130,6 +131,24 @@ def test_greedy_hitting_set_raises_on_unhittable_element():
     assert greedy_hitting_set([0b011, 0b110], 0b111) == [0, 1]
     with pytest.raises(ValueError):
         greedy_hitting_set([0b011, 0b010], 0b111)
+
+
+def test_split_pairs_matches_pair_enumeration():
+    rng = random.Random(5)
+    for n in range(9):
+        pairs = list(combinations(range(n), 2))
+        for x in range(1 << n):
+            inside = {v for v in range(n) if x >> v & 1}
+            expected = sum(
+                1 << i for i, (u, w) in enumerate(pairs) if (u in inside) != (w in inside)
+            )
+            assert split_pairs(x, n) == expected
+        # Bit i is the pair of all_pairs_difference_masks()[i].
+        g = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.4])
+        diffs = all_pairs_difference_masks(g)
+        for v in range(n):
+            col = split_pairs(g.closed[v], n)
+            assert [col >> i & 1 for i in range(len(pairs))] == [d >> v & 1 for d in diffs]
 
 
 def test_greedy_routes_match_frozenset_reference():

@@ -361,6 +361,8 @@ def test_verify_report_fails_a_witness_without_a_graph(tmp_path, capsys):
         (["solve", "--method", "greedy"], "greedy", {"optimum_lower_bound": 4}),
         (["maxsep", "--mode", "approx"], "maxsep-approx", {"upper_bound": 0, "lower_bound": 9}),
         (["maxsep", "--mode", "approx"], "maxsep-approx", {"lower_bound": 5}),
+        # Above maxsep_lower_bound(4) = 2, though not above the solution's size.
+        (["maxsep", "--mode", "approx"], "maxsep-approx", {"lower_bound": 3}),
     ],
 )
 def test_verify_report_rechecks_claimed_sizes(tmp_path, capsys, command, key, edit):
@@ -377,6 +379,21 @@ def test_verify_report_rechecks_claimed_sizes(tmp_path, capsys, command, key, ed
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 1
     assert f"recheck witness:{key} FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("worst", ["XYZXYZ", "BRBRB"])
+def test_verify_report_fails_a_malformed_worst_coloring(tmp_path, capsys, worst):
+    # spider:k=1 has 6 vertices; the claim needs an R/B string of that order.
+    gpath, out = tmp_path / "g.txt", tmp_path / "r.json"
+    write_graph(gpath, build_from_spec(GeneratorSpec.parse("spider:k=1"))[0])
+    assert main(["maxsep", "--mode", "exact", "--graph", str(gpath), "--out", str(out)]) == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["results"]["maxsep-exact"].update(worst_coloring=worst, value=99)
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    assert "recheck coloring-length:maxsep-exact FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("vertex", [99, -1])

@@ -44,7 +44,6 @@ from rbsep.exact import (
     sep_exact,
     sep_exact_allow_twins,
     sep_rb_exact,
-    split_pairs,
 )
 from rbsep.generators import (
     GeneratorSpec, build_from_spec, gen_half_graph_complement, gen_random_tree, gen_random_twin_free
@@ -571,24 +570,6 @@ def test_report_fields():
     assert rep.nodes_explored > 0
     assert rep.elapsed_ms >= 0.0
     assert rep.witness == tuple(sorted(rep.witness))
-
-
-def test_split_pairs_matches_pair_enumeration():
-    rng = random.Random(5)
-    for n in range(9):
-        pairs = list(combinations(range(n), 2))
-        for x in range(1 << n):
-            inside = {v for v in range(n) if x >> v & 1}
-            expected = sum(
-                1 << i for i, (u, w) in enumerate(pairs) if (u in inside) != (w in inside)
-            )
-            assert split_pairs(x, n) == expected
-        # Bit i is the pair of all_pairs_difference_masks()[i].
-        g = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.4])
-        diffs = all_pairs_difference_masks(g)
-        for v in range(n):
-            col = split_pairs(g.closed[v], n)
-            assert [col >> i & 1 for i in range(len(pairs))] == [d >> v & 1 for d in diffs]
 
 
 def test_certification_holds_under_python_O():

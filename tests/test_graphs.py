@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from rbsep.graphs import (
     Graph,
     code_pairs,
     graph_profile,
+    is_triangle_free,
     require_rb_separable,
     require_twin_free,
     twin_classes,
@@ -162,6 +164,33 @@ def test_graph_profile():
     assert p6.is_tree and p6.connected and p6.twin_free
     empty = graph_profile(Graph.from_edges(0, []))
     assert empty.n == 0 and not empty.is_tree
+
+
+def test_is_triangle_free_matches_a_triple_check():
+    rng = random.Random(11)
+    graphs = [Graph.from_edges(n, list(combinations(range(n), 2))) for n in range(6)]
+    graphs += [cycle_graph(4), cycle_graph(5), complete_bipartite(3, 4), star_graph(5)]
+    for n in range(10):
+        pairs = list(combinations(range(n), 2))
+        graphs += [Graph.from_edges(n, [p for p in pairs if rng.random() < 0.3]) for _ in range(20)]
+    seen = set()
+    for g in graphs:
+        triples = combinations(range(g.n), 3)
+        free = not any(all(g.adj[u] >> v & 1 for u, v in combinations(t, 2)) for t in triples)
+        assert is_triangle_free(g) == free
+        seen.add(free)
+    assert seen == {True, False}
+
+
+def test_graph_profile_twin_flag_matches_twin_classes():
+    rng = random.Random(12)
+    graphs = [path_graph(5), star_graph(4), complete_bipartite(2, 3), Graph.from_edges(0, [])]
+    for n in range(1, 9):
+        pairs = list(combinations(range(n), 2))
+        graphs += [Graph.from_edges(n, [p for p in pairs if rng.random() < 0.5]) for _ in range(10)]
+    flags = [graph_profile(g).twin_free for g in graphs]
+    assert flags == [twin_classes(g).is_twin_free for g in graphs]
+    assert True in flags and False in flags
 
 
 def test_max_degree():
