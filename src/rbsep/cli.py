@@ -42,7 +42,8 @@ def _write_report(args, start: float, results: dict, bound_checks=(), inputs=("g
     """With ``--out``, write the run report: the inputs hashed, the run timed."""
     if not args.out:
         return
-    report = reports.RunReport(_echo(args), results=results, bound_checks=list(bound_checks))
+    command = ["rbsep", *getattr(args, "_argv", sys.argv[1:])]
+    report = reports.RunReport(command, results=results, bound_checks=list(bound_checks))
     for name in inputs:
         report.add_input(name, getattr(args, name))
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -298,10 +299,6 @@ def cmd_experiment(args) -> int:
             _experiment_fuzz(writer, args.seed, sizes)
     _emit(f"csv {out}")
     return EXIT_OK
-
-
-def _echo(args) -> list[str]:
-    return ["rbsep"] + list(getattr(args, "_argv", sys.argv[1:]))
 
 
 def cap(text: str) -> int:

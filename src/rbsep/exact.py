@@ -23,15 +23,15 @@ The sweep orders the colorings by the reflected binary Gray code (Knuth,
 TAOCP 4A, 7.2.1.1) and takes them in blocks of up to 2^16 steps: per block,
 each vertex has one bitset whose bit r says whether it is red at step r of
 the block. A set S separates every coloring that is constant on each code
-class of S, so the sweep caches, for each set it finds, the pairs of
-``graphs.code_pairs``: each vertex with the first member of its class. A set
-with more classes covers more, so a set smaller than the incumbent is first
-padded up to the incumbent's size with the first vertices the greedy takes
-over the pairs it leaves unsplit (none when it splits them all). A set
-covers the steps at which both ends of each of its pairs have one color: an
-AND of XORs over a whole block. In blocks of 2^b steps, the bitsets of
-vertices below b are the same in every block, so each set keeps the AND over
-its pairs among them, and a block ANDs in only its other pairs. Only the
+class of S. A set with more classes covers more, so each set the sweep finds,
+kept as a vertex bitmask, is padded up to the incumbent's size with the first
+vertices the greedy takes over the pairs it leaves unsplit (none when it
+splits them all). One ``graphs.code_pairs`` pass over the mask then caches
+it: each vertex with the first member of its class. A set covers the steps
+at which both ends of each of its pairs have one color: an AND of XORs over
+a whole block. In blocks of 2^b steps, the bitsets of vertices below b are
+the same in every block, so the pass ANDs the pairs among them into the
+set's cached steps once, and a block ANDs in only its other pairs. Only the
 lowest step no cached set covers is solved, one at a time, by the kernel's
 decision at the incumbent's size.
 
@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
-from operator import or_, xor
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily
@@ -185,18 +185,6 @@ def gamma_exact(g: Graph) -> SolveReport:
     return _solve_masks(start, list(g.closed), partial(verify_dominating, g))
 
 
-def _parity_preseed_mask(g: Graph) -> int:
-    # Red = odd BFS layers, per component, component roots blue. Vertex 0 is
-    # always blue, matching the color-swap normalization of the sweep.
-    seen = red = 0
-    for root in range(g.n):
-        if not seen >> root & 1:
-            reached, odd = bfs_parity(g, root)
-            seen |= reached
-            red |= odd
-    return red
-
-
 def _gray_blocks(n: int, b: int) -> Iterator[list[int]]:
     # Block t of the Gray steps s = t*2^b + r, r < 2^b: column w has bit r set
     # iff w is red at step s, i.e. bit w-1 of s ^ (s >> 1); vertex 0 is blue.
@@ -215,18 +203,6 @@ def _gray_blocks(n: int, b: int) -> Iterator[list[int]]:
         last = [base[-1] ^ (full if t & 1 else 0)] if b else []
         high = [full if gray >> i & 1 else 0 for i in range(n - 1 - b)]
         yield [0, *base[:-1], *last, *high]
-
-
-def _class_pairs(
-    closed: list[int], found: Iterable[int], b: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    # ``found`` separates a coloring iff none of its ``code_pairs`` is
-    # red-blue. Returns the pairs of two vertices below b, then the others.
-    inner: list[tuple[int, int]] = []
-    outer: list[tuple[int, int]] = []
-    for u, v in code_pairs(closed, mask_of(found)):
-        (inner if v < b else outer).append((u, v))
-    return inner, outer
 
 
 def _covered(pairs: list[tuple[int, int]], reds: list[int], start: int) -> int:
@@ -249,7 +225,8 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     as one bitset. The lowest step no cached set covers is solved by the
     kernel's decision within the incumbent, which rises by one while the
     decision fails. The set found is padded to the incumbent's size by the
-    greedy over the pairs it leaves unsplit, and cached. No cached set is
+    greedy over the pairs it leaves unsplit, and cached from one
+    ``graphs.code_pairs`` pass over its mask. No cached set is
     larger than the incumbent, so no coloring it covers can raise the
     incumbent: the sweep skips every step of a block that some cached set
     covers, and the worst coloring is the first one in sweep order whose
@@ -285,26 +262,43 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     cache: list[tuple[int, list[tuple[int, int]]]] = []
 
     def solve(red: int, reds: list[int]) -> tuple[int, list[tuple[int, int]]]:
-        # Solve the coloring ``red``, raising the incumbent while it costs more.
-        # Cache the set that separates it as the steps its class pairs below
-        # vertex b cover, the same in every block (so are their columns), and
-        # its other class pairs.
+        # Solve the coloring ``red``, raising the incumbent while it costs more,
+        # and cache its set: the steps its class pairs below vertex b cover, the
+        # same in every block (so are their columns), and its other pairs.
         nonlocal best, best_red
-        active = reduce(xor, (flips[w] for w in bits_of(red)), 0)
+        active, rest = 0, red
+        while rest:
+            low = rest & -rest
+            active ^= flips[low.bit_length() - 1]
+            rest ^= low
         while (within := hitting_set_within(*kernel, active, best, stats)) is None:
             best, best_red = best + 1, red
-        found = bits_of(within)
-        if len(found) < best:
+        if (short := best - within.bit_count()) > 0:
             # Pad with the greedy's first vertices over the pairs left unsplit:
             # more classes cover more colorings, none costing more than best.
-            unsplit = everything & ~reduce(or_, (cols[v] for v in found), 0)
-            if unsplit:
-                found = [*found, *greedy_hitting_set(cols, unsplit)[: best - len(found)]]
-        inner, outer = _class_pairs(closed, found, b)
-        cache.append((_covered(inner, reds, full), outer))
+            split, rest = 0, within
+            while rest:
+                low = rest & -rest
+                split |= cols[low.bit_length() - 1]
+                rest ^= low
+            if unsplit := everything & ~split:
+                within |= mask_of(greedy_hitting_set(cols, unsplit)[:short])
+        inner, outer = full, []
+        for u, v in code_pairs(closed, within):
+            if v < b:
+                inner &= ~(reds[u] ^ reds[v])
+            else:
+                outer.append((u, v))
+        cache.append((inner, outer))
         return cache[-1]
 
-    best_red = _parity_preseed_mask(g)
+    # The parity coloring first: odd BFS layers red, component roots (vertex 0) blue.
+    seen = best_red = 0
+    for root in range(n):
+        if not seen >> root & 1:
+            reached, odd = bfs_parity(g, root)
+            seen |= reached
+            best_red |= odd
     for t, reds in enumerate(_gray_blocks(n, b)):
         if not t:
             solve(best_red, reds)

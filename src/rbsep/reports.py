@@ -7,8 +7,9 @@ claim kind a re-check tests, and maxsep-approx records also carry
 ``upper_bound`` and ``lower_bound``. ``reverify_run_report`` re-reads the
 input files and checks every claimed witness against the verifiers again,
 the sizes its record claims against the witness's size, a maxsep lower bound
-against ``bounds.maxsep_lower_bound``, and that a worst coloring is an R/B
-string of the graph's order.
+against ``bounds.maxsep_lower_bound``, that a worst coloring is an R/B
+string of the graph's order, and that the exact kernel's optimum on it is the
+claimed ``value``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from pathlib import Path
 from typing import Any
 
 from .bounds import maxsep_lower_bound
+from .errors import RBSepError
+from .exact import sep_rb_exact
 from .graphs import BLUE, RED, Coloring, violation
 from .io import read_coloring, read_graph
 
@@ -99,7 +102,7 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
                 raise ValueError(f"report result {name!r} field {key!r} must be a list of integers")
         if not isinstance(record.get("worst_coloring", ""), str):
             raise ValueError(f"report result {name!r} field 'worst_coloring' must be a string")
-        for key in ("optimum", "optimum_lower_bound", "upper_bound", "lower_bound"):
+        for key in ("optimum", "optimum_lower_bound", "upper_bound", "lower_bound", "value"):
             if type(record.get(key, 0)) is not int:
                 raise ValueError(f"report result {name!r} field {key!r} must be an integer")
     return data
@@ -136,6 +139,12 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             worst = record["worst_coloring"]
             ok = graph is not None and len(worst) == graph.n and set(worst) <= {RED, BLUE}
             outcomes.append((f"coloring-length:{key}", ok))
+            # The value's lower side: the worst coloring costs exactly the value.
+            try:
+                cost = sep_rb_exact(graph, Coloring.from_string(worst)).optimum if ok else None
+            except RBSepError:  # Unseparable, or a search too deep to finish
+                cost = None
+            outcomes.append((f"value:{key}", cost is not None and cost == record.get("value")))
         witness = record.get("witness", record.get("solution"))
         if witness is None:
             continue

@@ -9,6 +9,7 @@ from rbsep.cli import main
 from rbsep.generators import MAX_SPEC_EDGES, GeneratorSpec, build_from_spec, gen_random_twin_free
 from rbsep.graphs import Coloring
 from rbsep.io import MAX_GRAPH_ORDER, read_coloring, read_graph, write_coloring, write_graph
+from rbsep.reports import file_digest
 
 from conftest import path_graph
 
@@ -329,6 +330,7 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
         ({"solution": "0 1"}, "'solution'"),
         ({"value": 2, "worst_coloring": 5}, "'worst_coloring'"),
         ({"witness": [0], "optimum": "1"}, "'optimum'"),
+        ({"value": 2.0, "worst_coloring": "BRBR"}, "'value'"),
     ],
 )
 def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, record, field):
@@ -394,6 +396,39 @@ def test_verify_report_fails_a_malformed_worst_coloring(tmp_path, capsys, worst)
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 1
     assert "recheck coloring-length:maxsep-exact FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [None, 99, 2])
+def test_verify_report_rechecks_the_maxsep_value(tmp_path, capsys, value):
+    # spider:k=1's worst coloring BRBRBR costs 3, its value; the kernel's
+    # optimum on the claimed worst coloring must be the claimed value.
+    gpath, out = tmp_path / "g.txt", tmp_path / "r.json"
+    write_graph(gpath, build_from_spec(GeneratorSpec.parse("spider:k=1"))[0])
+    assert main(["maxsep", "--mode", "exact", "--graph", str(gpath), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    record = data["results"]["maxsep-exact"]
+    assert (record["value"], record["worst_coloring"]) == (3, "BRBRBR")
+    if value is not None:
+        record["value"] = value
+        out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == (0 if value is None else 1)
+    status = "ok" if value is None else "FAIL"
+    assert f"recheck value:maxsep-exact {status}" in capsys.readouterr().out
+
+
+def test_verify_report_fails_a_value_whose_recheck_raises(tmp_path, capsys):
+    # The two vertices of P2 are twins, so the coloring BR is unseparable:
+    # the kernel raises, and the claim fails without a traceback.
+    gpath, path = tmp_path / "g.txt", tmp_path / "r.json"
+    write_graph(gpath, path_graph(2))
+    inputs = {"graph": {"path": str(gpath), "sha256": file_digest(gpath)}}
+    results = {"maxsep-exact": {"value": 1, "worst_coloring": "BR"}}
+    path.write_text(json.dumps({"format": "rbsep-report/1", "inputs": inputs, "results": results}))
+    assert main(["verify", "--report", str(path)]) == 1
+    printed = capsys.readouterr().out
+    assert "recheck coloring-length:maxsep-exact ok" in printed
+    assert "recheck value:maxsep-exact FAIL" in printed
 
 
 @pytest.mark.parametrize("vertex", [99, -1])

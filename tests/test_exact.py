@@ -239,19 +239,26 @@ _SWEEP_SOLVES = (24, 22, 1, 17, 16, 28, 16, 17)
 def test_maxsep_cache_skips_most_greedy_runs(monkeypatch, seed):
     # Counts the colorings the sweep solves, each one a cached set: at most
     # one in eight, and exactly the pinned count, 141 over the 8 graphs, so
-    # a weaker cache or padding fails. n = 12, trees and twin-free G(12, 0.3).
+    # a weaker cache or padding fails. Each solve makes exactly one
+    # ``code_pairs`` pass. n = 12, trees and twin-free G(12, 0.3).
     g = gen_random_twin_free(12, 0.3, seed) if seed % 2 else gen_random_tree(12, seed)
-    cached = []
-    class_pairs = rbsep.exact._class_pairs
+    cached, solved = [], []
+    decide, code_pairs = rbsep.exact.hitting_set_within, rbsep.exact.code_pairs
 
-    def recording(closed, found, b):
-        cached.append(found)
-        return class_pairs(closed, found, b)
+    def deciding(masks, apart, keep, rest, limit, stats):
+        if not solved or rest != solved[-1]:  # the climb repeats a solve's rest
+            solved.append(rest)
+        return decide(masks, apart, keep, rest, limit, stats)
 
-    monkeypatch.setattr(rbsep.exact, "_class_pairs", recording)
+    def recording(closed, smask):
+        cached.append(smask)
+        return code_pairs(closed, smask)
+
+    monkeypatch.setattr(rbsep.exact, "hitting_set_within", deciding)
+    monkeypatch.setattr(rbsep.exact, "code_pairs", recording)
     assert maxsep_exact(g).per_coloring_count == 2048
     assert len(cached) <= 2048 // 8
-    assert len(cached) == _SWEEP_SOLVES[seed]
+    assert len(cached) == len(solved) == _SWEEP_SOLVES[seed]
 
 
 @pytest.mark.parametrize("block_bits", [16, 1, 2, 3])
@@ -280,18 +287,18 @@ def test_maxsep_caches_sets_within_the_incumbent(monkeypatch, seed):
         combinations(range(n), 2), key=lambda p: by_size(g.closed[p[0]] ^ g.closed[p[1]])
     )
     events: list = []
-    decide, class_pairs = rbsep.exact.hitting_set_within, rbsep.exact._class_pairs
+    decide, code_pairs = rbsep.exact.hitting_set_within, rbsep.exact.code_pairs
 
     def recording_decision(masks, apart, keep, rest, limit, stats):
         events.append(rest)
         return decide(masks, apart, keep, rest, limit, stats)
 
-    def recording_class_pairs(closed, found, b):
-        events.append(tuple(found))
-        return class_pairs(closed, found, b)
+    def recording_pairs(closed, smask):
+        events.append(bits_of(smask))
+        return code_pairs(closed, smask)
 
     monkeypatch.setattr(rbsep.exact, "hitting_set_within", recording_decision)
-    monkeypatch.setattr(rbsep.exact, "_class_pairs", recording_class_pairs)
+    monkeypatch.setattr(rbsep.exact, "code_pairs", recording_pairs)
     report = maxsep_exact(g)
     incumbent, active = 0, None
     for event in events:
