@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily
@@ -63,9 +63,7 @@ from .graphs import (
     verify_rb_separating,
     verify_separating_allow_twins,
 )
-from .hitting import (
-    columns, greedy_hitting_set, hitting_set_within, instance, minimum_hitting_set
-)
+from .hitting import Instance, greedy_hitting_set, hitting_set_within, minimum_hitting_set, select
 
 __all__ = [
     "SolveReport",
@@ -246,14 +244,11 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     keyed = sorted(
         ((d := closed[u] ^ closed[w]).bit_count(), d, u, w) for u, w in combinations(range(n), 2)
     )
-    masks = [d for _, d, _, _ in keyed]
-    cols = columns(masks, n)
+    kernel = Instance([d for _, d, _, _ in keyed], n)
     flips = [0] * n  # flips[v]: the pairs whose red-blue status v's color flips
     for i, (_, _, u, w) in enumerate(keyed):
         flips[u] |= 1 << i
         flips[w] |= 1 << i
-    kernel = instance(masks, cols)
-    everything = (1 << len(masks)) - 1
 
     stats = [0]
     best = 0
@@ -266,23 +261,15 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
         # and cache its set: the steps its class pairs below vertex b cover, the
         # same in every block (so are their columns), and its other pairs.
         nonlocal best, best_red
-        active, rest = 0, red
-        while rest:
-            low = rest & -rest
-            active ^= flips[low.bit_length() - 1]
-            rest ^= low
-        while (within := hitting_set_within(*kernel, active, best, stats)) is None:
+        active = reduce(xor, select(flips, red), 0)
+        while (within := hitting_set_within(kernel, active, best, stats)) is None:
             best, best_red = best + 1, red
-        if (short := best - within.bit_count()) > 0:
-            # Pad with the greedy's first vertices over the pairs left unsplit:
-            # more classes cover more colorings, none costing more than best.
-            split, rest = 0, within
-            while rest:
-                low = rest & -rest
-                split |= cols[low.bit_length() - 1]
-                rest ^= low
-            if unsplit := everything & ~split:
-                within |= mask_of(greedy_hitting_set(cols, unsplit)[:short])
+        # Pad with the greedy's first vertices over the pairs left unsplit:
+        # more classes cover more colorings, none costing more than best.
+        if (short := best - within.bit_count()) > 0 and (
+            unsplit := reduce(and_, select(kernel.keep, within), kernel.full)
+        ):
+            within |= mask_of(greedy_hitting_set(kernel.cols, unsplit)[:short])
         inner, outer = full, []
         for u, v in code_pairs(closed, within):
             if v < b:

@@ -10,10 +10,11 @@ own mask derivations.
 character of it. The exact search reads complements: choosing v turns the
 bitset ``rest`` of live mask ids into ``rest & keep[v]``, ``keep[v]`` being
 ``~cols[v]``, and ``apart[i]``, the AND of ``keep`` over mask i, holds the
-masks disjoint from it. The search reaches one mask in eight or so, hence
-``instance`` fills ``apart[i]`` on first read, selecting ``keep`` entries by
-the digits of the mask's ``bin`` text; the search reads the vertices of a
-mask straight from its bits.
+masks disjoint from it. The search reaches one mask in eight or so, hence an
+``Instance`` is its own ``apart`` and fills ``apart[i]`` on first read.
+``select(table, vertices)``, the entries of a table at the bits of a vertex
+mask, picked by the digits of its ``bin`` text, is the one such fold; the
+search reads the vertices of a mask straight from its bits.
 
 The exact search starts from the set of ``greedy_hitting_set`` on the
 kernel's own columns and searches down: a depth-limited branch and bound at
@@ -46,8 +47,8 @@ from operator import and_
 from .errors import SearchTooDeep
 from .graphs import mask_of
 
-__all__ = ["by_size", "columns", "instance", "greedy_hitting_set", "minimum_hitting_set",
-           "hitting_set_within"]
+__all__ = ["by_size", "columns", "select", "Instance", "greedy_hitting_set",
+           "minimum_hitting_set", "hitting_set_within"]
 
 
 def by_size(mask: int) -> tuple[int, int]:
@@ -70,32 +71,33 @@ def columns(masks: list[int], n: int) -> list[int]:
     return [int(text[n + 2 - v :: n + 3], 2) for v in range(n)]
 
 
-class _OnRead(dict):
-    """Fills key i with ``fill(i)`` on its first read."""
-
-    def __init__(self, fill) -> None:
-        self.fill = fill
-
-    def __missing__(self, i: int) -> object:
-        self[i] = out = self.fill(i)
-        return out
-
-
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def instance(masks: list[int], cols: list[int]) -> tuple[list[int], dict, list[int]]:
-    """``(masks, apart, keep)`` of ``masks`` with columns ``cols``, for the search.
+def select(table: list, vertices: int) -> compress:
+    """The entries ``table[v]`` for the bits v of ``vertices``, lowest first."""
+    return compress(table, bin(vertices)[:1:-1].encode().translate(_DIGITS))
 
-    ``keep[v] = ~cols[v]``. ``apart[i]``, the AND of ``keep`` over the
-    vertices of ``masks[i]``, fills on first read, once per mask.
+
+class Instance(dict):
+    """The search's instance of nonempty ``masks`` over n vertices, in ``by_size`` order.
+
+    ``cols = columns(masks, n)``, ``keep[v] = ~cols[v]``, and ``full`` is the
+    bitset of every mask id. The record is itself ``apart``: ``apart[i]``, the
+    AND of ``keep`` over the vertices of ``masks[i]``, fills on first read.
     """
-    keep = [~col for col in cols]
-    # Mask i's bits, lowest first, as bytes 0 and 1: the selectors of ``keep``.
-    apart: dict = _OnRead(
-        lambda i: reduce(and_, compress(keep, bin(masks[i])[:1:-1].encode().translate(_DIGITS)), -1)
-    )
-    return masks, apart, keep
+
+    __slots__ = ("masks", "cols", "keep", "full")
+
+    def __init__(self, masks: list[int], n: int) -> None:
+        self.masks = masks
+        self.cols = columns(masks, n)
+        self.keep = [~col for col in self.cols]
+        self.full = (1 << len(masks)) - 1
+
+    def __missing__(self, i: int) -> int:
+        self[i] = out = reduce(and_, select(self.keep, self.masks[i]), -1)
+        return out
 
 
 def _search(
@@ -155,18 +157,16 @@ def _search(
     return None
 
 
-def hitting_set_within(
-    masks: list[int], apart: dict, keep: list[int], rest: int, limit: int, stats: list[int]
-) -> int | None:
+def hitting_set_within(inst: Instance, rest: int, limit: int, stats: list[int]) -> int | None:
     """Depth-limited search: a set of size <= limit hitting each mask in ``rest``.
 
-    ``rest`` is a bitset of ids of nonempty masks and ``masks, apart, keep``
-    is their ``instance``; one instance serves any number of calls, and each
-    call fills more of it. Returns a vertex mask or None; ``stats[0]`` counts
-    nodes. The last two levels are decided in place, without a child call:
-    a ``limit == 2`` node counts one node for each child it tries.
+    ``rest`` is a bitset of ids of the masks of ``inst``; one instance serves
+    any number of calls, and each call fills more of it. Returns a vertex
+    mask or None; ``stats[0]`` counts nodes. The last two levels are decided
+    in place, without a child call: a ``limit == 2`` node counts one node for
+    each child it tries.
     """
-    return _search(masks, apart, keep, rest, limit, stats)
+    return _search(inst.masks, inst, inst.keep, rest, limit, stats)
 
 
 def minimum_hitting_set(
@@ -198,24 +198,24 @@ def minimum_hitting_set(
     distinct.sort(key=int.bit_count)  # stable: the ``by_size`` order
     if distinct and distinct[0] == 0:
         raise ValueError("empty mask cannot be hit")
-    cols = columns(distinct, max(distinct, default=0).bit_length())
-    kernel = instance(distinct, cols)
-    rest = (1 << len(distinct)) - 1
-    incumbent = mask_of(_greedy(cols, rest))
+    kernel = Instance(distinct, max(distinct, default=0).bit_length())
+    rest = kernel.full
+    incumbent = mask_of(_greedy(kernel.cols, rest))
     limit = incumbent.bit_count() - 1
     found = incumbent
     if budget is not None and budget <= limit:
         limit, found = budget, None
     try:
-        while limit >= 0 and (sub := _search(*kernel, rest, limit, stats, classes)) is not None:
+        while limit >= 0 and (sub := _search(distinct, kernel, kernel.keep, rest, limit, stats,
+                                             classes)) is not None:
             found = incumbent = sub
             limit = sub.bit_count() - 1
     except RecursionError:
         # No search has refuted a size yet: only the root packing bounds below.
-        lower, apart = 0, kernel[1]
+        lower = 0
         while rest:
             lower += 1
-            rest &= apart[(rest & -rest).bit_length() - 1]
+            rest &= kernel[(rest & -rest).bit_length() - 1]
         raise SearchTooDeep(lower, incumbent.bit_count()) from None
     return found
 

@@ -8,8 +8,9 @@ claim kind a re-check tests, and maxsep-approx records also carry
 input files and checks every claimed witness against the verifiers again,
 the sizes its record claims against the witness's size, a maxsep lower bound
 against ``bounds.maxsep_lower_bound``, that a worst coloring is an R/B
-string of the graph's order, and that the exact kernel's optimum on it is the
-claimed ``value``.
+string of the graph's order, that the exact kernel's optimum on it is the
+claimed ``value``, and that ``per_coloring_count`` is the sweep's 2^(n-1)
+colorings.
 """
 
 from __future__ import annotations
@@ -100,9 +101,12 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
             value = record.get(key, [])
             if not isinstance(value, list) or any(type(v) is not int for v in value):
                 raise ValueError(f"report result {name!r} field {key!r} must be a list of integers")
+            if len(set(value)) < len(value):
+                raise ValueError(f"report result {name!r} field {key!r} repeats a vertex")
         if not isinstance(record.get("worst_coloring", ""), str):
             raise ValueError(f"report result {name!r} field 'worst_coloring' must be a string")
-        for key in ("optimum", "optimum_lower_bound", "upper_bound", "lower_bound", "value"):
+        for key in ("optimum", "optimum_lower_bound", "upper_bound", "lower_bound", "value",
+                    "per_coloring_count"):
             if type(record.get(key, 0)) is not int:
                 raise ValueError(f"report result {name!r} field {key!r} must be an integer")
     return data
@@ -145,11 +149,13 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             except RBSepError:  # Unseparable, or a search too deep to finish
                 cost = None
             outcomes.append((f"value:{key}", cost is not None and cost == record.get("value")))
+            count = record.get("per_coloring_count")
+            outcomes.append((f"count:{key}", graph is not None and count == 1 << max(graph.n - 1, 0)))
         witness = record.get("witness", record.get("solution"))
         if witness is None:
             continue
         kind = record.get("verifies", "rb" if coloring is not None else "all-pairs")
-        size = len(set(witness))
+        size = len(witness)
         # An optimum and an approx upper bound are the witness's size; a lower
         # bound is at most it, and a maxsep lower bound at most the proven one.
         ok = (

@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 
 from rbsep.graphs import Coloring, Graph
-from rbsep.hitting import by_size, greedy_hitting_set, hitting_set_within
+from rbsep.hitting import Instance, by_size, greedy_hitting_set, hitting_set_within
 
 
 def path_graph(n: int) -> Graph:
@@ -180,11 +180,10 @@ def cached_sweep_universes(g: Graph) -> list[int]:
     )
     diffs = [nb[u] ^ nb[w] for u, w in pairs]
     cols = [sum(1 << i for i, d in enumerate(diffs) if v in d) for v in range(g.n)]
-    # The kernel's instance, built eagerly: masks as ints, masks disjoint
-    # from each mask, and masks each vertex misses.
-    masks = [sum(1 << v for v in d) for d in diffs]
-    apart = [~sum(1 << j for j, e in enumerate(diffs) if d & e) for d in diffs]
-    keep = [~col for col in cols]
+    # The kernel's instance, its ``apart`` filled eagerly: for each mask, the
+    # masks disjoint from it.
+    kernel = Instance([sum(1 << v for v in d) for d in diffs], g.n)
+    kernel.update(enumerate(~sum(1 << j for j, e in enumerate(diffs) if d & e) for d in diffs))
     everything = (1 << len(pairs)) - 1
     steps = (Coloring(g.n, (i ^ i >> 1) << 1) for i in range(1, 1 << max(g.n - 1, 0)))
     best = 0
@@ -195,7 +194,7 @@ def cached_sweep_universes(g: Graph) -> list[int]:
         if any(not active & miss for miss in misses):
             continue
         universes.append(active)
-        while (within := hitting_set_within(masks, apart, keep, active, best, [0])) is None:
+        while (within := hitting_set_within(kernel, active, best, [0])) is None:
             best += 1
         found = [v for v in range(g.n) if within >> v & 1]
         unsplit = everything

@@ -331,6 +331,7 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
         ({"value": 2, "worst_coloring": 5}, "'worst_coloring'"),
         ({"witness": [0], "optimum": "1"}, "'optimum'"),
         ({"value": 2.0, "worst_coloring": "BRBR"}, "'value'"),
+        ({"value": 2, "worst_coloring": "BRBR", "per_coloring_count": 8.0}, "'per_coloring_count'"),
     ],
 )
 def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, record, field):

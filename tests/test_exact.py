@@ -216,11 +216,11 @@ def _solved_universes(monkeypatch, g: Graph) -> tuple[rbsep.MaxSepReport, list[i
     calls = []
     decided = [None]
 
-    def deciding(masks, apart, keep, rest, limit, stats):
+    def deciding(kernel, rest, limit, stats):
         if rest != decided[0]:
             decided[0] = rest
             calls.append(rest)
-        return hitting_set_within(masks, apart, keep, rest, limit, stats)
+        return hitting_set_within(kernel, rest, limit, stats)
 
     def padding(cols, universe):
         calls.append(universe)
@@ -245,10 +245,10 @@ def test_maxsep_cache_skips_most_greedy_runs(monkeypatch, seed):
     cached, solved = [], []
     decide, code_pairs = rbsep.exact.hitting_set_within, rbsep.exact.code_pairs
 
-    def deciding(masks, apart, keep, rest, limit, stats):
+    def deciding(kernel, rest, limit, stats):
         if not solved or rest != solved[-1]:  # the climb repeats a solve's rest
             solved.append(rest)
-        return decide(masks, apart, keep, rest, limit, stats)
+        return decide(kernel, rest, limit, stats)
 
     def recording(closed, smask):
         cached.append(smask)
@@ -289,9 +289,9 @@ def test_maxsep_caches_sets_within_the_incumbent(monkeypatch, seed):
     events: list = []
     decide, code_pairs = rbsep.exact.hitting_set_within, rbsep.exact.code_pairs
 
-    def recording_decision(masks, apart, keep, rest, limit, stats):
+    def recording_decision(kernel, rest, limit, stats):
         events.append(rest)
-        return decide(masks, apart, keep, rest, limit, stats)
+        return decide(kernel, rest, limit, stats)
 
     def recording_pairs(closed, smask):
         events.append(bits_of(smask))

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from conftest import brute_min_hitting_set, first_dfs_hitting_set, searched_down
 import rbsep.hitting
 from rbsep.exact import all_pairs_difference_masks
 from rbsep.generators import gen_random_twin_free
-from rbsep.graphs import mask_of
-from rbsep.hitting import by_size, columns, hitting_set_within, instance, minimum_hitting_set
+from rbsep.graphs import bits_of, mask_of
+from rbsep.hitting import Instance, by_size, columns, hitting_set_within, minimum_hitting_set, select
 
 
 def as_set(mask: int) -> frozenset[int]:
@@ -59,28 +60,44 @@ def test_columns_match_a_set_transpose():
         assert columns(masks, n) == expected
 
 
+def test_select_reads_the_entries_at_the_bits_of_a_mask():
+    rng = random.Random(12)
+    for _ in range(300):
+        table = [rng.getrandbits(8) for _ in range(rng.randint(0, 70))]
+        m = rng.randrange(1 << len(table))
+        assert list(select(table, m)) == [table[v] for v in bits_of(m)]
+
+
 def test_instance_fills_on_read_as_the_eager_maps():
     rng = random.Random(8)
     for family in [random_family] * 150 + [wide_family] * 40:
         masks, n = family(rng)
         cols = columns(masks, n)
-        same, apart, keep = instance(masks, cols)
-        assert same is masks and keep == [~col for col in cols]
+        inst = Instance(masks, n)
+        assert inst.masks is masks and inst.cols == cols and inst.keep == [~col for col in cols]
+        assert inst.full == sum(1 << i for i in range(len(masks)))
         ids = list(range(len(masks))) * 2
         rng.shuffle(ids)
         for i in ids:
             hit = 0
             for v in as_set(masks[i]):
                 hit |= cols[v]
-            assert apart[i] == ~hit
+            assert inst[i] == ~hit
 
 
 def test_instance_stays_empty_until_read():
     masks = [0b011, 0b110, 0b101, 0b1000]
-    same, apart, keep = instance(masks, columns(masks, 4))
-    assert same is masks and not apart and len(keep) == 4
-    assert apart[2] == ~0b0111
-    assert sorted(apart) == [2]
+    inst = Instance(masks, 4)
+    assert inst.masks is masks and not inst and len(inst.keep) == 4
+    assert inst[2] == ~0b0111
+    assert sorted(inst) == [2]
+
+
+def test_traced_entries_keep_a_stats_parameter():
+    # The benchmark's span tracer (perfbench/spans.py) finds each entry's node
+    # counter by the parameter name ``stats``.
+    for entry in (minimum_hitting_set, hitting_set_within):
+        assert "stats" in inspect.signature(entry).parameters
 
 
 def test_one_instance_serves_many_searches():
@@ -89,14 +106,13 @@ def test_one_instance_serves_many_searches():
     rng = random.Random(9)
     for _ in range(60):
         masks, n = random_family(rng)
-        cols = columns(masks, n)
-        shared = instance(masks, cols)
+        shared = Instance(masks, n)
         for _ in range(6):
             rest = rng.randrange(1 << len(masks))
             limit = rng.randint(0, 4)
             stats, fresh_stats = [0], [0]
-            found = hitting_set_within(*shared, rest, limit, stats)
-            assert found == hitting_set_within(*instance(masks, cols), rest, limit, fresh_stats)
+            found = hitting_set_within(shared, rest, limit, stats)
+            assert found == hitting_set_within(Instance(masks, n), rest, limit, fresh_stats)
             assert stats == fresh_stats
 
 
@@ -104,13 +120,12 @@ def test_hitting_set_within_decides_as_the_oracle():
     rng = random.Random(3)
     for _ in range(150):
         masks, n = random_family(rng)
-        cols = columns(masks, n)
         rest = rng.randrange(1 << len(masks))
         live = [m for i, m in enumerate(masks) if rest >> i & 1]
         opt = brute_min_hitting_set(as_set(m) for m in live)
         for k in range(opt + 2):
             stats = [0]
-            found = hitting_set_within(*instance(masks, cols), rest, k, stats)
+            found = hitting_set_within(Instance(masks, n), rest, k, stats)
             assert (found is not None) == (k >= opt)
             assert stats[0] >= 1
             if found is not None:
@@ -126,12 +141,11 @@ def test_hitting_set_within_returns_the_first_dfs_set():
     for _ in range(150):
         masks, n = random_family(rng)
         sets = [as_set(m) for m in masks]
-        cols = columns(masks, n)
         rest = rng.randrange(1 << len(masks))
         live = [i for i in range(len(masks)) if rest >> i & 1]
         opt = brute_min_hitting_set(sets[i] for i in live)
         for k in range(opt + 2):
-            found = hitting_set_within(*instance(masks, cols), rest, k, [0])
+            found = hitting_set_within(Instance(masks, n), rest, k, [0])
             expected = first_dfs_hitting_set(sets, live, k)
             assert (None if found is None else as_set(found)) == expected
 
@@ -153,7 +167,7 @@ def test_last_two_levels_return_the_first_dfs_set():
         live = [i for i in range(len(masks)) if rest >> i & 1]
         for limit in (1, 2):
             stats = [0]
-            found = hitting_set_within(*instance(masks, columns(masks, n)), rest, limit, stats)
+            found = hitting_set_within(Instance(masks, n), rest, limit, stats)
             expected = first_dfs_hitting_set(sets, live, limit)
             assert (None if found is None else as_set(found)) == expected
             tried = sorted(sets[live[0]])
@@ -179,8 +193,8 @@ def test_limit_two_skips_banned_pivot_vertices_only():
             if sub is not None:
                 expected = sub | {v}
                 break
-        kernel = instance(masks, columns(masks, n))
-        found = rbsep.hitting._search(*kernel, rest, 2, [0], 0, banned)
+        kernel = Instance(masks, n)
+        found = rbsep.hitting._search(masks, kernel, kernel.keep, rest, 2, [0], 0, banned)
         assert (None if found is None else as_set(found)) == expected
 
 

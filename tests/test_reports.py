@@ -154,6 +154,36 @@ def test_bounds_report_record(tmp_path, inputs, extra):
     })
 
 
+@pytest.mark.parametrize("method, key", [("exact", "witness"), ("greedy", "solution")])
+def test_verify_report_rejects_a_repeated_vertex(tmp_path, inputs, capsys, method, key):
+    # [1, 2, 4, 4] has the claimed optimum's 3 distinct vertices, but a
+    # witness lists each vertex once: the report is malformed, exit 2.
+    out = tmp_path / "report.json"
+    argv = ["solve", "--graph", inputs["graph"]["path"], "--coloring", inputs["coloring"]["path"],
+            "--method", method, "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    data["results"][method][key].append(4)
+    out.write_text(json.dumps(data))
+    assert main(["verify", "--report", str(out)]) == 2
+    assert f"{key!r} repeats a vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_verify_report_rechecks_the_coloring_count(tmp_path, inputs, capsys, extra):
+    # The exact sweep counts the 2^(n-1) = 64 colorings of the 7-vertex tree.
+    out = tmp_path / "report.json"
+    argv = ["maxsep", "--graph", inputs["graph"]["path"], "--mode", "exact", "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    data["results"]["maxsep-exact"]["per_coloring_count"] += extra
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == extra
+    status = "FAIL" if extra else "ok"
+    assert f"recheck count:maxsep-exact {status}\n" in capsys.readouterr().out
+
+
 def test_record_writes_nested_results_as_json_values():
     from rbsep.bounds import BoundCheck, BoundsReport
     from rbsep.exact import MaxSepReport
