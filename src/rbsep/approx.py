@@ -20,7 +20,7 @@ guarantee as the search budget of the exact kernel (``sep_rb_exact``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificationError, Infeasible, NotTriangleFree, Uncoverable
 from .exact import SolveReport, rb_difference_masks, sep_rb_exact
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(NamedTuple("SetSystem", [("universe_size", int), ("element_labels", tuple), ("sets", tuple)])):
     """Universe plus a labeled family of subsets.
 
     ``element_labels[i]`` names universe element ``i`` (for the separation
@@ -63,19 +62,17 @@ class SetSystem:
     the set.
     """
 
-    universe_size: int
-    element_labels: tuple
-    sets: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for label, elems in self.sets:
+    def __new__(cls, universe_size: int, element_labels: tuple, sets: tuple):
+        for label, elems in sets:
             for e in elems:
-                if not 0 <= e < self.universe_size:
+                if not 0 <= e < universe_size:
                     raise ValueError(f"set {label} has out-of-range element {e}")
+        return super().__new__(cls, universe_size, element_labels, sets)
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """Solution with its claimed guarantee.
 
     ``guarantee`` is the approximation factor for the greedy routes and the

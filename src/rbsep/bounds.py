@@ -7,13 +7,13 @@ logarithmic lower bound) are marked skipped rather than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import MAXSEP_DEFAULT_CAP, gamma_exact, maxsep_exact, sep_exact_allow_twins
 from .graphs import Graph, is_tree, require_twin_free
 from .trees import tree_profile
 
-__all__ = ["BoundCheck", "BoundsReport", "check_bounds", "LOG_LB_EXCLUDED"]
+__all__ = ["BoundCheck", "BoundsReport", "bound_checks", "check_bounds", "LOG_LB_EXCLUDED"]
 
 # Orders where the counting argument behind the log2 lower bound is known
 # not to apply.
@@ -22,8 +22,7 @@ LOG_LB_EXCLUDED = frozenset({8, 9, 16, 17})
 SEP_DEFAULT_CAP = 64
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     lhs: float | None
     rhs: float | None
@@ -31,8 +30,7 @@ class BoundCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     n: int
     sep: int | None
     maxsep: int | None
@@ -64,20 +62,14 @@ def maxsep_lower_bound(n: int) -> int:
     return 1 if n in LOG_LB_EXCLUDED else max(floor_log2(n), 0)
 
 
-def check_bounds(
-    g: Graph,
-    sep_cap: int = SEP_DEFAULT_CAP,
-    maxsep_cap: int = MAXSEP_DEFAULT_CAP,
-) -> BoundsReport:
-    """Evaluate every applicable inequality on a twin-free graph."""
-    require_twin_free(g)
-    n = g.n
-    sep = sep_exact_allow_twins(g).optimum if n <= sep_cap else None
-    maxsep = maxsep_exact(g, n_cap=maxsep_cap).value if n <= maxsep_cap else None
-    gamma = gamma_exact(g).optimum
-    tree = is_tree(g)
-    support = tree_profile(g).support_count if tree else None
+def tree_support_count(g: Graph) -> int | None:
+    """The number of support vertices (those next to a leaf) of a tree, else None."""
+    return tree_profile(g).support_count if is_tree(g) else None
 
+
+def bound_checks(n, sep, maxsep, gamma, max_degree, support_count) -> tuple[BoundCheck, ...]:
+    """Every applicable inequality on a twin-free graph's parameters; a ``sep`` or
+    ``maxsep`` of None (not computed) skips the checks that read it."""
     checks: list[BoundCheck] = []
 
     def add(name, lhs, rhs, note=""):
@@ -97,18 +89,23 @@ def check_bounds(
         add("sep_le_ceil_log2_deg1_times_maxsep_plus_gamma", sep, None, "skipped: maxsep over cap")
     else:
         add("sep_le_ceil_log2_n_times_maxsep", sep, ceil_log2(n) * maxsep)
-        add("sep_le_ceil_log2_deg1_times_maxsep_plus_gamma", sep, ceil_log2(g.max_degree + 1) * maxsep + gamma)
-    if tree and n >= 5:
-        add("tree_maxsep_le_half_n_plus_s", maxsep, (n + support) / 2)
-        add("tree_sep_le_n_minus_s", sep, n - support)
+        add("sep_le_ceil_log2_deg1_times_maxsep_plus_gamma", sep, ceil_log2(max_degree + 1) * maxsep + gamma)
+    if support_count is not None and n >= 5:
+        add("tree_maxsep_le_half_n_plus_s", maxsep, (n + support_count) / 2)
+        add("tree_sep_le_n_minus_s", sep, n - support_count)
         add("tree_maxsep_le_two_thirds_n", maxsep, 2 * n / 3)
+    return tuple(checks)
 
-    return BoundsReport(
-        n=n,
-        sep=sep,
-        maxsep=maxsep,
-        gamma=gamma,
-        max_degree=g.max_degree,
-        support_count=support,
-        checks=tuple(checks),
-    )
+
+def check_bounds(
+    g: Graph,
+    sep_cap: int = SEP_DEFAULT_CAP,
+    maxsep_cap: int = MAXSEP_DEFAULT_CAP,
+) -> BoundsReport:
+    """Evaluate every applicable inequality on a twin-free graph."""
+    require_twin_free(g)
+    n = g.n
+    sep = sep_exact_allow_twins(g).optimum if n <= sep_cap else None
+    maxsep = maxsep_exact(g, n_cap=maxsep_cap).value if n <= maxsep_cap else None
+    params = (n, sep, maxsep, gamma_exact(g).optimum, g.max_degree, tree_support_count(g))
+    return BoundsReport(*params, bound_checks(*params))

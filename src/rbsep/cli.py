@@ -43,10 +43,10 @@ def _write_report(args, start: float, results: dict, bound_checks=(), inputs=("g
     if not args.out:
         return
     command = ["rbsep", *getattr(args, "_argv", sys.argv[1:])]
-    report = reports.RunReport(command, results=results, bound_checks=list(bound_checks))
+    report = reports.RunReport(command, {}, results, list(bound_checks))
     for name in inputs:
         report.add_input(name, getattr(args, name))
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    report = report._replace(elapsed_ms=(time.perf_counter() - start) * 1000.0)
     reports.write_run_report(args.out, report)
 
 

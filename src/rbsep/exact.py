@@ -42,11 +42,10 @@ so callers may run many instances in parallel.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily
 from .graphs import (
@@ -80,8 +79,7 @@ MAXSEP_DEFAULT_CAP = 14
 _BLOCK_BITS = 16  # the sweep's bitsets span at most 2^16 Gray steps (8 KiB)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Optimum value with a verified witness and search statistics."""
 
     optimum: int
@@ -91,8 +89,7 @@ class SolveReport:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class MaxSepReport:
+class MaxSepReport(NamedTuple):
     """Worst-coloring separation cost over all red-blue colorings."""
 
     value: int

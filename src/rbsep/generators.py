@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     BadPivot,
@@ -60,8 +60,7 @@ __all__ = [
 MAX_SPEC_EDGES = 1_000_000
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Family tag plus parameters; serializes as ``family:k=v,...``."""
 
     family: str
@@ -217,8 +216,7 @@ def gen_spider(k: int) -> tuple[Graph, Coloring]:
     return g, Coloring.from_red(n, reds)
 
 
-@dataclass(frozen=True)
-class SplitReduction:
+class SplitReduction(NamedTuple):
     """Split-graph instance built from a set-cover instance.
 
     A cover of size k corresponds to a red-blue separating set of size
@@ -312,33 +310,31 @@ def gen_copies_plus_independent(g: Graph, k: int) -> tuple[Graph, Coloring]:
     return h, Coloring.from_red(total, range(n, total))
 
 
-@dataclass(frozen=True)
-class SatInstance:
+class SatInstance(NamedTuple("SatInstance", [("n_vars", int), ("clauses", tuple)])):
     """CNF with at most 3 literals per clause, each literal at most twice.
 
     Literals are nonzero DIMACS-style integers: +i for variable i, -i for
     its negation (1-based).
     """
 
-    n_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_vars: int, clauses: tuple[tuple[int, ...], ...]):
         counts: dict[int, int] = {}
-        for clause in self.clauses:
+        for clause in clauses:
             if not 1 <= len(clause) <= 3:
                 raise ValueError(f"clause {clause} must have 1..3 literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.n_vars:
+                if lit == 0 or abs(lit) > n_vars:
                     raise ValueError(f"literal {lit} out of range")
                 counts[lit] = counts.get(lit, 0) + 1
         for lit, cnt in sorted(counts.items()):
             if cnt > 2:
                 raise LiteralCapExceeded(lit, cnt)
+        return super().__new__(cls, n_vars, clauses)
 
 
-@dataclass(frozen=True)
-class DominationGadget:
+class DominationGadget(NamedTuple):
     """Vertex ids of one 16-vertex domination gadget."""
 
     ports: tuple[int, int]
@@ -347,8 +343,7 @@ class DominationGadget:
     q: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GadgetReduction:
+class GadgetReduction(NamedTuple):
     """Worst-coloring-hardness instance built from a 3-SAT-2l formula.
 
     ``k = 4m + 9n`` is the separation threshold: the formula is satisfiable

@@ -32,9 +32,8 @@ because the benchmark's worker keeps every output until the run ends (seed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CertificationError, NotTwinFree, Unseparable
 
@@ -78,8 +77,7 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple)])):
     """Undirected simple graph over vertices ``0..n-1``.
 
     ``adj[v]`` is the open-neighborhood bitmask of ``v``. The adjacency is
@@ -87,16 +85,12 @@ class Graph:
     immutable; all operations on them are pure functions.
     """
 
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        adj = self.adj
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         symmetric = True
         bits = upper = 0
         for v, row in enumerate(adj):
@@ -118,6 +112,7 @@ class Graph:
                 for u in bits_of(row):
                     if not adj[u] >> v & 1:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return super().__new__(cls, n, adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -171,19 +166,18 @@ RED = "R"
 BLUE = "B"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple("Coloring", [("n", int), ("red_mask", int)])):
     """Total red-blue labeling of the vertices of an order-``n`` graph.
 
     Stored as the bitmask of red vertices; blue is the complement.
     """
 
-    n: int
-    red_mask: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.red_mask < (1 << self.n if self.n else 1):
+    def __new__(cls, n: int, red_mask: int):
+        if not 0 <= red_mask < (1 << n if n else 1):
             raise ValueError("red mask out of range for coloring size")
+        return super().__new__(cls, n, red_mask)
 
     @classmethod
     def from_string(cls, s: str) -> "Coloring":
@@ -225,8 +219,7 @@ class Coloring:
         return Coloring(self.n, ~self.red_mask & ((1 << self.n) - 1))
 
 
-@dataclass(frozen=True)
-class TwinReport:
+class TwinReport(NamedTuple):
     """Partition of the vertices into classes with equal closed neighborhoods."""
 
     classes: tuple[tuple[int, ...], ...]
@@ -366,8 +359,7 @@ def certify(violation: object) -> None:
         raise CertificationError(f"certification failed: {violation}")
 
 
-@dataclass(frozen=True)
-class GraphProfile:
+class GraphProfile(NamedTuple):
     """Structural facts used for algorithm dispatch and bound checks."""
 
     n: int

@@ -2,25 +2,27 @@
 
 A run report carries the command echo, sha256 digests of the inputs, the
 per-operation results, and any bound checks. Each record is its result
-dataclass's fields by name (``record``); solver records add ``verifies``, the
-claim kind a re-check tests, and maxsep-approx records also carry
-``upper_bound`` and ``lower_bound``. ``reverify_run_report`` re-reads the
-input files and checks every claimed witness against the verifiers again,
-the sizes its record claims against the witness's size, a maxsep lower bound
-against ``bounds.maxsep_lower_bound``, that a worst coloring is an R/B
-string of the graph's order, that the exact kernel's optimum on it is the
-claimed ``value``, and that ``per_coloring_count`` is the sweep's 2^(n-1)
-colorings.
+record's ``NamedTuple`` fields by name (``record``); solver records add
+``verifies``, the claim kind a re-check tests, and maxsep-approx records also
+carry ``upper_bound`` and ``lower_bound``. ``reverify_run_report`` re-reads
+the input files and checks every claimed witness against the verifiers
+again, the sizes its record claims against the witness's size, a maxsep
+lower bound against ``bounds.maxsep_lower_bound``, that a worst coloring is
+an R/B string of the graph's order, that the exact kernel's optimum on it is
+the claimed ``value``, and that ``per_coloring_count`` is the sweep's 2^(n-1)
+colorings. A ``bounds`` report's n, max_degree and support_count must be the
+graph's, and its checks what ``bounds.bound_checks`` gives on them and the
+claimed sep, maxsep and gamma.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import zip_longest
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
-from .bounds import maxsep_lower_bound
+from .bounds import BoundsReport, bound_checks, maxsep_lower_bound, tree_support_count
 from .errors import RBSepError
 from .exact import sep_rb_exact
 from .graphs import BLUE, RED, Coloring, violation
@@ -46,26 +48,25 @@ def file_digest(path: str | Path) -> str:
 
 
 def record(r) -> dict[str, Any]:
-    """A result dataclass as a JSON object; a ``Coloring`` becomes its R/B string."""
-    return {f.name: _json_value(getattr(r, f.name)) for f in fields(r)}
+    """A ``NamedTuple`` record as a JSON object; a ``Coloring`` becomes its R/B string."""
+    return {name: _json_value(v) for name, v in zip(r._fields, r)}
 
 
 def _json_value(v):
     if isinstance(v, Coloring):
         return v.to_string()
-    if is_dataclass(v):
+    if hasattr(v, "_fields"):
         return record(v)
     if isinstance(v, tuple):
         return [_json_value(x) for x in v]
     return v
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     command: list[str]
-    inputs: dict[str, dict[str, str]] = field(default_factory=dict)
-    results: dict[str, Any] = field(default_factory=dict)
-    bound_checks: list[dict[str, Any]] = field(default_factory=list)
+    inputs: dict[str, dict[str, str]]
+    results: dict[str, Any]
+    bound_checks: list[dict[str, Any]]
     elapsed_ms: float = 0.0
 
     def add_input(self, name: str, path: str | Path) -> None:
@@ -90,6 +91,9 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
     for key in ("inputs", "results"):
         if not isinstance(data.get(key, {}), dict):
             raise ValueError(f"report field {key!r} must be an object")
+    checks = data.get("bound_checks", [])
+    if not isinstance(checks, list) or any(not isinstance(c, dict) for c in checks):
+        raise ValueError("report field 'bound_checks' must be a list of objects")
     for name, meta in data.get("inputs", {}).items():
         for key in ("path", "sha256"):
             if not isinstance(meta, dict) or not isinstance(meta.get(key), str):
@@ -106,9 +110,12 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
         if not isinstance(record.get("worst_coloring", ""), str):
             raise ValueError(f"report result {name!r} field 'worst_coloring' must be a string")
         for key in ("optimum", "optimum_lower_bound", "upper_bound", "lower_bound", "value",
-                    "per_coloring_count"):
+                    "per_coloring_count", "n", "gamma", "max_degree"):
             if type(record.get(key, 0)) is not int:
                 raise ValueError(f"report result {name!r} field {key!r} must be an integer")
+        for key in ("sep", "maxsep", "support_count"):
+            if record.get(key) is not None and type(record[key]) is not int:
+                raise ValueError(f"report result {name!r} field {key!r} must be an integer or null")
     return data
 
 
@@ -167,4 +174,20 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             and record.get("lower_bound", 0) <= maxsep_lower_bound(graph.n)
         )
         outcomes.append((f"witness:{key}", ok))
+    if isinstance(results.get("parameters"), dict):
+        outcomes += _recheck_bounds(graph, results["parameters"], data.get("bound_checks", []))
     return outcomes
+
+
+def _recheck_bounds(graph, parameters: dict, claimed: list) -> list[tuple[str, bool]]:
+    # The graph's own n, max_degree and support_count with the claimed sep,
+    # maxsep and gamma must give the claimed parameters and every check.
+    if graph is None:
+        return [("parameters", False)]
+    params = (graph.n, parameters.get("sep"), parameters.get("maxsep"), parameters.get("gamma", 0),
+              graph.max_degree, tree_support_count(graph))
+    want = record(BoundsReport(*params, bound_checks(*params)))
+    checks = zip_longest(want.pop("checks"), claimed)
+    return [("parameters", want == parameters)] + [
+        (f"bound:{(check or claim).get('name')}", check == claim) for check, claim in checks
+    ]

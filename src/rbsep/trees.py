@@ -27,7 +27,7 @@ checked by the verifiers before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NotATree, WrongClassSize, XIsLeaf
 from .graphs import (
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class TreeProfile:
+class TreeProfile(NamedTuple):
     """Leaf/support classification of a tree.
 
     ``leaves_of`` maps each support to its adjacent leaves in ascending
@@ -64,7 +63,7 @@ class TreeProfile:
     n: int
     leaves: tuple[int, ...]
     supports: tuple[int, ...]
-    leaves_of: dict[int, tuple[int, ...]] = field(repr=False)
+    leaves_of: dict[int, tuple[int, ...]]
 
     @property
     def leaf_count(self) -> int:

@@ -314,6 +314,7 @@ def test_verify_rb_without_coloring_exits_input(tmp_path, capsys):
         ({"format": "rbsep-report/1", "inputs": {"graph": {"path": "g.txt"}}}, "'sha256'"),
         ({"format": "rbsep-report/1", "inputs": []}, "'inputs'"),
         ({"format": "rbsep-report/1", "results": []}, "'results'"),
+        ({"format": "rbsep-report/1", "bound_checks": [1]}, "'bound_checks'"),
     ],
 )
 def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
@@ -332,6 +333,8 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
         ({"witness": [0], "optimum": "1"}, "'optimum'"),
         ({"value": 2.0, "worst_coloring": "BRBR"}, "'value'"),
         ({"value": 2, "worst_coloring": "BRBR", "per_coloring_count": 8.0}, "'per_coloring_count'"),
+        ({"n": 4, "sep": "3", "maxsep": 2, "gamma": 2, "max_degree": 2}, "'sep'"),
+        ({"n": 4, "sep": 3, "maxsep": 2, "gamma": None, "max_degree": 2}, "'gamma'"),
     ],
 )
 def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, record, field):

@@ -577,6 +577,8 @@ def test_report_fields():
     assert rep.nodes_explored > 0
     assert rep.elapsed_ms >= 0.0
     assert rep.witness == tuple(sorted(rep.witness))
+    with pytest.raises(AttributeError):
+        rep.optimum = 0
 
 
 def test_certification_holds_under_python_O():

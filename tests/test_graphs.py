@@ -41,6 +41,17 @@ def test_graph_construction_validates():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(2, (1,))  # wrong adjacency length
+    with pytest.raises(ValueError):
+        Graph(n=-1, adj=())
+    # A valid graph is an immutable record; its cached ``closed`` lies
+    # outside the fields, so equality and hash ignore it.
+    g = Graph.from_edges(3, [(0, 1)])
+    assert repr(g) == "Graph(n=3, adj=(2, 1, 0))"
+    assert g.closed == (3, 3, 4)
+    same = Graph(n=3, adj=(2, 1, 0))
+    assert g == same and hash(g) == hash(same)
+    with pytest.raises(AttributeError):
+        g.n = 4
 
 
 def _reference_adjacency_error(n, adj):
@@ -220,8 +231,14 @@ def test_coloring_round_trip():
     assert c.red_vertices() == (0, 3)
     assert c.blue_vertices() == (1, 2, 4)
     assert c.swapped().to_string() == "BRRBR"
+    assert c == Coloring(5, 0b01001) and hash(c) == hash(Coloring(5, 0b01001))
+    assert repr(c) == "Coloring(n=5, red_mask=9)"
+    with pytest.raises(AttributeError):
+        c.red_mask = 0
     with pytest.raises(ValueError):
         Coloring.from_string("RX")
+    with pytest.raises(ValueError):
+        Coloring(2, 4)  # vertex 2 red in a 2-vertex coloring
 
 
 @st.composite

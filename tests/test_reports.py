@@ -2,8 +2,8 @@
 
 Each case runs ``rbsep.cli.main`` with ``--out`` on one fixed 7-vertex tree
 and compares the JSON it writes, with the timings and the command echo
-removed, against the record the CLI has always written for it. One more
-checks that ``hashlib`` is loaded only to hash a report's inputs.
+removed, against the record the CLI has always written for it. Two more
+check what importing the package loads.
 """
 
 import json
@@ -184,6 +184,33 @@ def test_verify_report_rechecks_the_coloring_count(tmp_path, inputs, capsys, ext
     assert f"recheck count:maxsep-exact {status}\n" in capsys.readouterr().out
 
 
+def test_verify_report_rechecks_every_bound(tmp_path, inputs, capsys):
+    # An untouched bounds report rechecks line by line. Moving any claimed
+    # number by one, flipping a check's ``holds``, or dropping or repeating a
+    # check each make the recheck fail.
+    out = tmp_path / "report.json"
+    assert main(["bounds", "--graph", inputs["graph"]["path"], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 0
+    claims = ["digest:graph", "parameters", *(f"bound:{name}" for name in CHECK_NAMES)]
+    assert capsys.readouterr().out == "".join(f"recheck {claim} ok\n" for claim in claims)
+    data = json.loads(out.read_text())
+    checks, parameters = data["bound_checks"], data["results"]["parameters"]
+    edits = [(c, key, c[key] + d) for c in checks for key in ("lhs", "rhs") for d in (1, -1)]
+    edits += [(c, "holds", not c["holds"]) for c in checks]
+    edits += [(parameters, key, v + d) for key, v in parameters.items() for d in (1, -1)]
+    assert len(edits) == 52
+    for where, key, value in edits:
+        kept, where[key] = where[key], value
+        out.write_text(json.dumps(data))
+        assert main(["verify", "--report", str(out)]) == 1, (where, key, value)
+        where[key] = kept
+    for edited in (checks[:-1], checks + checks[-1:]):
+        out.write_text(json.dumps({**data, "bound_checks": edited}))
+        assert main(["verify", "--report", str(out)]) == 1
+    assert "recheck bound:tree_maxsep_le_two_thirds_n FAIL\n" in capsys.readouterr().out
+
+
 def test_record_writes_nested_results_as_json_values():
     from rbsep.bounds import BoundCheck, BoundsReport
     from rbsep.exact import MaxSepReport
@@ -200,13 +227,28 @@ def test_record_writes_nested_results_as_json_values():
     }
 
 
-def test_hashlib_loads_only_when_a_report_is_hashed():
-    # hashlib loads OpenSSL, several MB resident; only file_digest needs it.
-    code = "import sys, rbsep, rbsep.cli, rbsep.io; print('hashlib' in sys.modules)"
+def _fresh_import(code: str) -> str:
+    # ``code`` run in a new interpreter with the package's source on the path.
     src = str(Path(rbsep.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
         timeout=60,
     )
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_hashlib_loads_only_when_a_report_is_hashed():
+    # hashlib loads OpenSSL, several MB resident; only file_digest needs it.
+    code = "import sys, rbsep, rbsep.cli, rbsep.io; print('hashlib' in sys.modules)"
+    assert _fresh_import(code) == "False\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Records are NamedTuples: building a dataclass compiles its methods
+    # through exec, and dataclasses loads inspect, ast and tokenize.
+    code = (
+        "import sys; before = set(sys.modules); import rbsep, rbsep.cli, rbsep.io; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    assert _fresh_import(code) == "[]\n"
