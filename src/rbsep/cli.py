@@ -40,14 +40,9 @@ def _emit(line: str) -> None:
 
 def _write_report(args, start: float, results: dict, bound_checks=(), inputs=("graph",)) -> None:
     """With ``--out``, write the run report: the inputs hashed, the run timed."""
-    if not args.out:
-        return
-    command = ["rbsep", *getattr(args, "_argv", sys.argv[1:])]
-    report = reports.RunReport(command, {}, results, list(bound_checks))
-    for name in inputs:
-        report.add_input(name, getattr(args, name))
-    report = report._replace(elapsed_ms=(time.perf_counter() - start) * 1000.0)
-    reports.write_run_report(args.out, report)
+    if args.out:
+        paths = {name: getattr(args, name) for name in inputs}
+        reports.write_run_report(args.out, ["rbsep", *args._argv], paths, results, bound_checks, start)
 
 
 def cmd_solve(args) -> int:

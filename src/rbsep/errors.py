@@ -34,10 +34,6 @@ class Unseparable(RBSepError):
 class Infeasible(RBSepError):
     """The optimum exceeds the caller-supplied budget."""
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        super().__init__(f"no solution within budget {budget}")
-
 
 class NotTwinFree(RBSepError):
     """The graph contains twin vertices where a twin-free graph is required."""
@@ -50,11 +46,6 @@ class NotTwinFree(RBSepError):
 
 class CapExceeded(RBSepError):
     """Instance size exceeds the configured cap for an exact sweep."""
-
-    def __init__(self, n: int, cap: int):
-        self.n = n
-        self.cap = cap
-        super().__init__(f"graph order {n} exceeds cap {cap}")
 
 
 class SearchTooDeep(RBSepError):
@@ -105,11 +96,6 @@ class Uncoverable(RBSepError):
 class BadPivot(RBSepError):
     """The two-copies reduction pivot must have degree exactly 2."""
 
-    def __init__(self, vertex: int, degree: int):
-        self.vertex = vertex
-        self.degree = degree
-        super().__init__(f"pivot vertex {vertex} has degree {degree}, expected 2")
-
 
 class InvalidParts(RBSepError):
     """Invalid part sizes for a complete multipartite graph."""
@@ -118,20 +104,9 @@ class InvalidParts(RBSepError):
 class LiteralCapExceeded(RBSepError):
     """A literal occurs more than twice in a 3-SAT-2l instance."""
 
-    def __init__(self, literal: int, count: int):
-        self.literal = literal
-        self.count = count
-        super().__init__(f"literal {literal} occurs {count} times, cap is 2")
-
 
 class TwinFreeUnreachable(RBSepError):
     """Rejection sampling failed to produce a twin-free graph."""
-
-    def __init__(self, n: int, edge_prob: float, tries: int):
-        self.n = n
-        self.edge_prob = edge_prob
-        self.tries = tries
-        super().__init__(f"no twin-free graph with n={n}, p={edge_prob} after {tries} tries")
 
 
 class FormatError(RBSepError):

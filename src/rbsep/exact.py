@@ -130,7 +130,7 @@ def _solve_masks(
     stats = [0]
     found = minimum_hitting_set(masks, budget=budget, stats=stats, classes=classes)
     if found is None:
-        raise Infeasible(budget)
+        raise Infeasible(f"no solution within budget {budget}")
     witness = bits_of(found)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     certify(verify(witness))
@@ -231,7 +231,7 @@ def maxsep_exact(g: Graph, n_cap: int = MAXSEP_DEFAULT_CAP) -> MaxSepReport:
     """
     require_twin_free(g)
     if g.n > n_cap:
-        raise CapExceeded(g.n, n_cap)
+        raise CapExceeded(f"graph order {g.n} exceeds cap {n_cap}")
     n = g.n
     if n == 0:
         return MaxSepReport(0, Coloring(0, 0), 1)

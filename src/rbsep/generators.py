@@ -284,7 +284,7 @@ def gen_two_copies_ds(g: Graph, v: int) -> tuple[Graph, Coloring]:
     path is red except its tail. Color classes differ in size by exactly 2.
     """
     if g.degree(v) != 2:
-        raise BadPivot(v, g.degree(v))
+        raise BadPivot(f"pivot vertex {v} has degree {g.degree(v)}, expected 2")
     n = g.n
     total = 2 * n + 4
     edges = [(a, b) for a, b in g.edges()]
@@ -330,7 +330,7 @@ class SatInstance(NamedTuple("SatInstance", [("n_vars", int), ("clauses", tuple)
                 counts[lit] = counts.get(lit, 0) + 1
         for lit, cnt in sorted(counts.items()):
             if cnt > 2:
-                raise LiteralCapExceeded(lit, cnt)
+                raise LiteralCapExceeded(f"literal {lit} occurs {cnt} times, cap is 2")
         return super().__new__(cls, n_vars, clauses)
 
 
@@ -471,7 +471,7 @@ def gen_random_twin_free(
         g = Graph.from_edges(n, edges)
         if next(code_pairs(g.closed, -1), None) is None:
             return g
-    raise TwinFreeUnreachable(n, edge_prob, max_tries)
+    raise TwinFreeUnreachable(f"no twin-free graph with n={n}, p={edge_prob} after {max_tries} tries")
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:

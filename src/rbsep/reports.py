@@ -18,9 +18,10 @@ claimed sep, maxsep and gamma.
 from __future__ import annotations
 
 import json
+import time
 from itertools import zip_longest
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
 from .bounds import BoundsReport, bound_checks, maxsep_lower_bound, tree_support_count
 from .errors import RBSepError
@@ -30,7 +31,6 @@ from .io import read_coloring, read_graph
 
 __all__ = [
     "FORMAT",
-    "RunReport",
     "record",
     "write_run_report",
     "load_run_report",
@@ -62,19 +62,12 @@ def _json_value(v):
     return v
 
 
-class RunReport(NamedTuple):
-    command: list[str]
-    inputs: dict[str, dict[str, str]]
-    results: dict[str, Any]
-    bound_checks: list[dict[str, Any]]
-    elapsed_ms: float = 0.0
-
-    def add_input(self, name: str, path: str | Path) -> None:
-        self.inputs[name] = {"path": str(path), "sha256": file_digest(path)}
-
-
-def write_run_report(path: str | Path, report: RunReport) -> None:
-    data = {"format": FORMAT, **record(report)}
+def write_run_report(path: str | Path, command: list[str], inputs: dict[str, str | Path],
+                     results: dict[str, Any], bound_checks: list | tuple, start: float) -> None:
+    """Write an ``rbsep-report/1`` file timed from ``start`` to after hashing the inputs."""
+    hashed = {name: {"path": str(p), "sha256": file_digest(p)} for name, p in inputs.items()}
+    data = {"format": FORMAT, "command": command, "inputs": hashed, "results": results,
+            "bound_checks": list(bound_checks), "elapsed_ms": (time.perf_counter() - start) * 1000.0}
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -100,7 +93,7 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
                 raise ValueError(f"report input {name!r} lacks string field {key!r}")
     for name, record in data.get("results", {}).items():
         if not isinstance(record, dict):
-            continue
+            raise ValueError(f"report result {name!r} must be an object")
         for key in ("witness", "solution"):
             value = record.get(key, [])
             if not isinstance(value, list) or any(type(v) is not int for v in value):
@@ -144,8 +137,6 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
     results = data.get("results", {})
 
     for key, record in results.items():
-        if not isinstance(record, dict):
-            continue
         if "worst_coloring" in record:
             worst = record["worst_coloring"]
             ok = graph is not None and len(worst) == graph.n and set(worst) <= {RED, BLUE}
@@ -174,8 +165,8 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             and record.get("lower_bound", 0) <= maxsep_lower_bound(graph.n)
         )
         outcomes.append((f"witness:{key}", ok))
-    if isinstance(results.get("parameters"), dict):
-        outcomes += _recheck_bounds(graph, results["parameters"], data.get("bound_checks", []))
+    if "parameters" in results or data.get("bound_checks"):
+        outcomes += _recheck_bounds(graph, results.get("parameters", {}), data.get("bound_checks", []))
     return outcomes
 
 

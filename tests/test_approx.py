@@ -340,6 +340,13 @@ def test_bounded_degree_construct_dominating_neighbor_pattern():
     assert len(rep.solution) <= 3
 
 
+def test_bounded_degree_construct_needs_max_degree_three():
+    # P4's maximum degree is 2: the Delta * min(|R|, |B|) accounting needs 3.
+    with pytest.raises(ValueError) as info:
+        bounded_degree_construct(path_graph(4), Coloring.from_string("RBRB"))
+    assert str(info.value) == "construction requires profile flag max_degree >= 3"
+
+
 def test_bounded_degree_construct_known_gap_instance():
     # Adjacent-dominator shortcut alone fails here: with w = 1 the forced
     # separator of (0, 1) is 3, leaving blue 2 with the same code {0, 1} as

@@ -335,6 +335,9 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
         ({"value": 2, "worst_coloring": "BRBR", "per_coloring_count": 8.0}, "'per_coloring_count'"),
         ({"n": 4, "sep": "3", "maxsep": 2, "gamma": 2, "max_degree": 2}, "'sep'"),
         ({"n": 4, "sep": 3, "maxsep": 2, "gamma": None, "max_degree": 2}, "'gamma'"),
+        # A result record that is not an object.
+        ([1, 2, 3], "must be an object"),
+        ([1, 2], "must be an object"),
     ],
 )
 def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, record, field):

@@ -7,10 +7,11 @@ from rbsep.errors import (
     BadPivot,
     InvalidParts,
     LiteralCapExceeded,
+    RBSepError,
     TwinFreeUnreachable,
     Uncoverable,
 )
-from rbsep.exact import gamma_exact, sep_rb_exact
+from rbsep.exact import gamma_exact, maxsep_exact, sep_rb_exact
 from rbsep.generators import (
     MAX_SPEC_EDGES,
     GeneratorSpec,
@@ -28,6 +29,7 @@ from rbsep.generators import (
     gen_two_copies_ds,
 )
 from rbsep.graphs import (
+    Coloring,
     graph_profile,
     twin_classes,
     verify_separating,
@@ -258,3 +260,83 @@ def test_generators_byte_identical_across_runs():
         assert (c1 is None) == (c2 is None)
         if c1 is not None:
             assert c1.to_string() == c2.to_string()
+
+
+# Each error raised from its one site, with the text the CLI prints for it.
+@pytest.mark.parametrize(
+    "raise_it, message",
+    [
+        pytest.param(
+            lambda: sep_rb_exact(path_graph(4), Coloring.from_string("RBRB"), budget=1),
+            "no solution within budget 1", id="Infeasible",
+        ),
+        pytest.param(
+            lambda: maxsep_exact(path_graph(16), n_cap=14),
+            "graph order 16 exceeds cap 14", id="CapExceeded",
+        ),
+        pytest.param(
+            lambda: gen_two_copies_ds(path_graph(4), 0),
+            "pivot vertex 0 has degree 1, expected 2", id="BadPivot",
+        ),
+        pytest.param(
+            lambda: SatInstance(1, ((1,), (1,), (1,))),
+            "literal 1 occurs 3 times, cap is 2", id="LiteralCapExceeded",
+        ),
+        pytest.param(
+            lambda: gen_random_twin_free(3, 1.0, 0, max_tries=2),
+            "no twin-free graph with n=3, p=1.0 after 2 tries", id="TwinFreeUnreachable",
+        ),
+    ],
+)
+def test_error_messages(raise_it, message):
+    with pytest.raises(RBSepError) as info:
+        raise_it()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(lambda: gen_power_set_graph(0), ValueError, "k must be at least 1", id="power-set"),
+        pytest.param(
+            lambda: gen_half_graph_complement(0), ValueError, "k must be at least 1", id="half-complement",
+        ),
+        pytest.param(lambda: gen_spider(0), ValueError, "k must be at least 1", id="spider"),
+        pytest.param(
+            lambda: gen_copies_plus_independent(path_graph(3), -1), ValueError, "k must be nonnegative",
+            id="copies-plus-independent",
+        ),
+        pytest.param(lambda: gen_random_tree(0, 0), ValueError, "n must be at least 1", id="tree"),
+        pytest.param(
+            lambda: gen_random_twin_free(0, 0.5, 0), ValueError, "n must be at least 1", id="twin-free-n",
+        ),
+        pytest.param(
+            lambda: gen_random_twin_free(4, -0.1, 0), ValueError, "edge probability must be in [0, 1]",
+            id="twin-free-p-below",
+        ),
+        pytest.param(
+            lambda: gen_random_twin_free(4, 1.5, 0), ValueError, "edge probability must be in [0, 1]",
+            id="twin-free-p-above",
+        ),
+        pytest.param(
+            lambda: gen_split_from_set_cover(0, []), InvalidParts, "universe must be nonempty",
+            id="split-empty-universe",
+        ),
+        pytest.param(
+            lambda: gen_split_from_set_cover(2, [[0, 2], [1]]), InvalidParts,
+            "set 0 has out-of-range element 2", id="split-out-of-range",
+        ),
+        pytest.param(
+            lambda: GeneratorSpec.parse(":k=1"), ValueError, "missing family in spec ':k=1'",
+            id="spec-no-family",
+        ),
+        pytest.param(
+            lambda: GeneratorSpec.parse("spider:k"), ValueError,
+            "malformed parameter 'k' in spec 'spider:k'", id="spec-no-equals",
+        ),
+    ],
+)
+def test_generator_parameter_guards(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -211,6 +211,21 @@ def test_verify_report_rechecks_every_bound(tmp_path, inputs, capsys):
     assert "recheck bound:tree_maxsep_le_two_thirds_n FAIL\n" in capsys.readouterr().out
 
 
+def test_verify_report_rechecks_bound_checks_without_parameters(tmp_path, inputs, capsys):
+    # Claimed bound checks are rechecked even when the parameters they rest
+    # on are missing: the missing parameters fail as an empty claim.
+    out = tmp_path / "report.json"
+    assert main(["bounds", "--graph", inputs["graph"]["path"], "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    del data["results"]["parameters"]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["recheck digest:graph ok", "recheck parameters FAIL"]
+    assert len(lines) == 2 + len(CHECK_NAMES)
+
+
 def test_record_writes_nested_results_as_json_values():
     from rbsep.bounds import BoundCheck, BoundsReport
     from rbsep.exact import MaxSepReport

@@ -147,6 +147,20 @@ def test_tree_rb_construct_random_with_accounting():
             assert 2 * len(s) <= n + prof.support_count
 
 
+def test_ns3_skips_a_three_leaf_support_next_to_a_multi_leaf_support():
+    # u = 0 has leaves 1, 2, 3 and neighbor w = 4 with leaves 5, 6: w is in
+    # S_+, so u takes no internal cover vertex.
+    t = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 6)])
+    prof = tree_profile(t)
+    assert prof.s_class(3) == (0,) and 4 in prof.s_plus
+    assert ns3_vertices(t, prof) == ()
+    for red in range(1 << t.n):
+        c = Coloring(t.n, red)
+        s = tree_rb_construct(t, c)
+        assert verify_rb_separating(t, c, s) is None
+        assert 2 * len(s) <= t.n + prof.support_count
+
+
 def test_tree_rb_construct_stars():
     rng = random.Random(5)
     for n in (5, 7, 10):
