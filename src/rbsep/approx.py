@@ -50,6 +50,7 @@ __all__ = [
     "bounded_degree_construct",
     "xp_exact_small_class",
     "set_system_to_text",
+    "guarantee",
 ]
 
 
@@ -131,12 +132,12 @@ def _greedy_cover(cols: list[int], universe: int) -> ApproxReport:
     # |U| / (largest column) and greedy size / guarantee.
     chosen = greedy_hitting_set(cols, universe)
     size = universe.bit_count()
-    guarantee = math.log(size) + 1 if size else 1.0
+    factor = math.log(size) + 1 if size else 1.0
     lb = 0
     if size:
         max_set = max((col & universe).bit_count() for col in cols)
-        lb = max(math.ceil(size / max_set), math.ceil(len(chosen) / guarantee))
-    return ApproxReport(tuple(sorted(chosen)), guarantee, lb)
+        lb = max(math.ceil(size / max_set), math.ceil(len(chosen) / factor))
+    return ApproxReport(tuple(sorted(chosen)), factor, lb)
 
 
 def greedy_set_cover(sys: SetSystem) -> ApproxReport:
@@ -156,14 +157,24 @@ def greedy_set_cover(sys: SetSystem) -> ApproxReport:
     return ApproxReport(solution, cover.guarantee, cover.optimum_lower_bound)
 
 
+def guarantee(method: str, g: Graph, c: Coloring | None = None) -> float | None:
+    """The factor or size bound CLI ``method`` records on ``g`` colored ``c``; None if none."""
+    if method == "greedy":
+        return max(1.0, 2 * math.log(g.n)) if g.n >= 2 else 1.0
+    if method == "maxsep-approx":
+        return (2 * math.log(g.n) + 1) * (g.n - 1).bit_length() if g.n >= 2 else 1.0
+    if method in ("triangle-free", "bounded-degree") and c is not None:
+        return float((3 if method == "triangle-free" else g.max_degree) * min(c.red_count, c.blue_count))
+    return None
+
+
 def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
     """Greedy red-blue separating set with factor at most max(1, 2 ln n)."""
     require_rb_separable(g, c)
     cols = [split_pairs(nv, g.n) for nv in g.closed]
     cover = _greedy_cover(cols, split_pairs(c.red_mask, g.n))
     certify(verify_rb_separating(g, c, cover.solution))
-    guarantee = max(1.0, 2 * math.log(g.n)) if g.n >= 2 else 1.0
-    return ApproxReport(cover.solution, guarantee, cover.optimum_lower_bound)
+    return ApproxReport(cover.solution, guarantee("greedy", g), cover.optimum_lower_bound)
 
 
 def all_pairs_set_system(g: Graph) -> SetSystem:
@@ -186,11 +197,7 @@ def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
     cols = [split_pairs(nv, n) for nv in g.closed]
     cover = _greedy_cover(cols, (1 << n * (n - 1) // 2) - 1)
     certify(verify_separating(g, cover.solution))
-    if g.n >= 2:
-        guarantee = (2 * math.log(g.n) + 1) * (g.n - 1).bit_length()
-    else:
-        guarantee = 1.0
-    return ApproxReport(cover.solution, guarantee, cover.optimum_lower_bound)
+    return ApproxReport(cover.solution, guarantee("maxsep-approx", g), cover.optimum_lower_bound)
 
 
 def _oriented(c: Coloring) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -230,8 +237,7 @@ def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
                 chosen.add(others[0])
     solution = tuple(sorted(chosen))
     certify(verify_rb_separating(g, c, solution))
-    bound = 3 * len(small)
-    return ApproxReport(solution, float(bound), 0 if not small else 1)
+    return ApproxReport(solution, guarantee("triangle-free", g, c), 0 if not small else 1)
 
 
 def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
@@ -288,8 +294,7 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
 
     solution = tuple(sorted(chosen))
     certify(verify_rb_separating(g, c, solution))
-    bound = g.max_degree * len(small)
-    return ApproxReport(solution, float(bound), 0 if not small else 1)
+    return ApproxReport(solution, guarantee("bounded-degree", g, c), 0 if not small else 1)
 
 
 def xp_exact_small_class(g: Graph, c: Coloring) -> SolveReport:

@@ -173,37 +173,34 @@ def cmd_verify(args) -> int:
     return EXIT_ANSWER_NO
 
 
-def _families_rows():
-    rows = []
-    for k in (1, 2, 3):
-        g, c = generators.gen_half_graph_complement(k)
-        spec = f"half-complement:k={k}"
-        rows.append((spec, g.n, "maxsep", 2 * k - 1, exact.maxsep_exact(g).value))
-        rows.append((spec, g.n, "sep_rb_adversarial", 2 * k - 1, exact.sep_rb_exact(g, c).optimum))
-    for k in (1, 2, 3):
-        g, colorings = generators.gen_power_set_graph(k)
-        spec = f"power-set:k={k}"
-        rows.append((spec, g.n, "maxsep", k, exact.maxsep_exact(g).value))
-        rows.append((spec, g.n, "sep_rb_adversarial", k, exact.sep_rb_exact(g, colorings[0]).optimum))
-    for k in (1, 2):
-        g, c = generators.gen_spider(k)
-        spec = f"spider:k={k}"
-        rows.append((spec, g.n, "sep_rb_adversarial", 3 * k, exact.sep_rb_exact(g, c).optimum))
-        rows.append((spec, g.n, "maxsep", 3 * k, exact.maxsep_exact(g).value))
-    g, c = generators.gen_complete_multipartite([5, 5], strict=True)
-    rows.append(("multipartite:parts=5+5", g.n, "sep", 8, exact.sep_exact_allow_twins(g).optimum))
-    rows.append(("multipartite:parts=5+5", g.n, "maxsep", 4, exact.maxsep_exact(g).value))
-    rows.append(("multipartite:parts=5+5", g.n, "sep_rb_adversarial", 4, exact.sep_rb_exact(g, c).optimum))
-    g, c = generators.gen_complete_multipartite([5, 5, 5], strict=True)
-    rows.append(("multipartite:parts=5+5+5", g.n, "sep", 12, exact.sep_exact_allow_twins(g).optimum))
-    rows.append(("multipartite:parts=5+5+5", g.n, "sep_rb_adversarial", 6, exact.sep_rb_exact(g, c).optimum))
-    return rows
+# Family instances, as ``rbsep generate`` specs, with each quantity's closed form.
+_FAMILIES = (
+    ("half-complement:k=1", {"maxsep": 1, "sep_rb_adversarial": 1}),
+    ("half-complement:k=2", {"maxsep": 3, "sep_rb_adversarial": 3}),
+    ("half-complement:k=3", {"maxsep": 5, "sep_rb_adversarial": 5}),
+    ("power-set:k=1", {"maxsep": 1, "sep_rb_adversarial": 1}),
+    ("power-set:k=2", {"maxsep": 2, "sep_rb_adversarial": 2}),
+    ("power-set:k=3", {"maxsep": 3, "sep_rb_adversarial": 3}),
+    ("spider:k=1", {"sep_rb_adversarial": 3, "maxsep": 3}),
+    ("spider:k=2", {"sep_rb_adversarial": 6, "maxsep": 6}),
+    ("multipartite:parts=5+5", {"sep": 8, "maxsep": 4, "sep_rb_adversarial": 4}),
+    ("multipartite:parts=5+5+5", {"sep": 12, "sep_rb_adversarial": 6}),
+)
+
+_QUANTITIES = {
+    "maxsep": lambda g, c: exact.maxsep_exact(g).value,
+    "sep_rb_adversarial": lambda g, c: exact.sep_rb_exact(g, c).optimum,
+    "sep": lambda g, c: exact.sep_exact_allow_twins(g).optimum,
+}
 
 
 def _experiment_families(writer):
     writer.writerow(["spec", "n", "quantity", "expected", "computed", "match"])
-    for spec, n, quantity, expected, computed in _families_rows():
-        writer.writerow([spec, n, quantity, expected, computed, int(expected == computed)])
+    for spec, closed_forms in _FAMILIES:
+        g, c = generators.build_from_spec(generators.GeneratorSpec.parse(spec))
+        for quantity, expected in closed_forms.items():
+            computed = _QUANTITIES[quantity](g, c)
+            writer.writerow([spec, g.n, quantity, expected, computed, int(expected == computed)])
 
 
 def _experiment_ratio(writer, seed: int, sizes: list[int]) -> None:

@@ -147,7 +147,7 @@ def gen_half_graph_complement(k: int) -> tuple[Graph, Coloring]:
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             if i > j:
-                edges.append(tuple(sorted((i - 1, k + j - 1))))
+                edges.append((i - 1, k + j - 1))
     g = Graph.from_edges(n, edges)
     reds = []
     for i in range(1, k + 1):
@@ -263,7 +263,7 @@ def gen_split_from_set_cover(
         for e in s:
             if not 0 <= e < universe_size:
                 raise InvalidParts(f"set {j} has out-of-range element {e}")
-            edges.append(tuple(sorted((e, set_base + j))))
+            edges.append((e, set_base + j))
     g = Graph.from_edges(n, edges)
     return SplitReduction(
         graph=g,
@@ -287,7 +287,7 @@ def gen_two_copies_ds(g: Graph, v: int) -> tuple[Graph, Coloring]:
         raise BadPivot(f"pivot vertex {v} has degree {g.degree(v)}, expected 2")
     n = g.n
     total = 2 * n + 4
-    edges = [(a, b) for a, b in g.edges()]
+    edges = g.edges()
     edges += [(a + n, b + n) for a, b in g.edges()]
     u1, u2, u3, u4 = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
     edges += [(v, u1), (v + n, u1), (u1, u2), (u2, u3), (u3, u4)]
@@ -492,13 +492,11 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     heapq.heapify(leaves)
     for x in seq:
         leaf = heapq.heappop(leaves)
-        edges.append(tuple(sorted((leaf, x))))
+        edges.append((leaf, x))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append(tuple(sorted((u, v))))
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return Graph.from_edges(n, edges)
 
 

@@ -1,18 +1,19 @@
 """Report records and their on-disk JSON form.
 
-A run report carries the command echo, sha256 digests of the inputs, the
-per-operation results, and any bound checks. Each record is its result
-record's ``NamedTuple`` fields by name (``record``); solver records add
-``verifies``, the claim kind a re-check tests, and maxsep-approx records also
-carry ``upper_bound`` and ``lower_bound``. ``reverify_run_report`` re-reads
-the input files and checks every claimed witness against the verifiers
-again, the sizes its record claims against the witness's size, a maxsep
-lower bound against ``bounds.maxsep_lower_bound``, that a worst coloring is
-an R/B string of the graph's order, that the exact kernel's optimum on it is
-the claimed ``value``, and that ``per_coloring_count`` is the sweep's 2^(n-1)
-colorings. A ``bounds`` report's n, max_degree and support_count must be the
-graph's, and its checks what ``bounds.bound_checks`` gives on them and the
-claimed sep, maxsep and gamma.
+A run report carries the command echo, the absolute path and sha256 digest
+of each input, the per-operation results, and any bound checks. Each record
+is its result record's ``NamedTuple`` fields by name (``record``); solver
+records add ``verifies``, the claim kind a re-check tests, and maxsep-approx
+records also carry ``upper_bound`` and ``lower_bound``.
+``reverify_run_report`` reads each input once and checks every claimed
+witness against the verifiers again, the sizes and ``guarantee`` its record
+claims against the witness's size and ``approx.guarantee``, a maxsep lower
+bound against ``bounds.maxsep_lower_bound``, that a worst coloring is an R/B
+string of the graph's order, that the exact kernel's optimum on it is the
+claimed ``value``, and that ``per_coloring_count`` is the sweep's 2^(n-1)
+colorings. A ``bounds`` report's n, max_degree and support_count must be
+the graph's, and its checks what ``bounds.bound_checks`` gives on them and
+the claimed sep, maxsep and gamma.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Any
 
+from .approx import guarantee
 from .bounds import BoundsReport, bound_checks, maxsep_lower_bound, tree_support_count
 from .errors import RBSepError
 from .exact import sep_rb_exact
 from .graphs import BLUE, RED, Coloring, violation
-from .io import read_coloring, read_graph
+from .io import coloring_from_text, graph_from_text
 
 __all__ = [
     "FORMAT",
@@ -42,9 +44,13 @@ FORMAT = "rbsep-report/1"
 
 
 def file_digest(path: str | Path) -> str:
+    return _digest(Path(path).read_bytes())
+
+
+def _digest(data: bytes) -> str:
     import hashlib  # here, not at the top: it loads OpenSSL, about 3.6 MB resident
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def record(r) -> dict[str, Any]:
@@ -65,7 +71,7 @@ def _json_value(v):
 def write_run_report(path: str | Path, command: list[str], inputs: dict[str, str | Path],
                      results: dict[str, Any], bound_checks: list | tuple, start: float) -> None:
     """Write an ``rbsep-report/1`` file timed from ``start`` to after hashing the inputs."""
-    hashed = {name: {"path": str(p), "sha256": file_digest(p)} for name, p in inputs.items()}
+    hashed = {name: {"path": str(Path(p).absolute()), "sha256": file_digest(p)} for name, p in inputs.items()}
     data = {"format": FORMAT, "command": command, "inputs": hashed, "results": results,
             "bound_checks": list(bound_checks), "elapsed_ms": (time.perf_counter() - start) * 1000.0}
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -118,22 +124,18 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
     Returns (claim, ok) pairs; digest mismatches fail the corresponding
     claim rather than raising, and so does every claim that cannot be
     checked (a witness without a graph input or with a vertex outside it,
-    an rb witness without a coloring input).
+    an rb witness without a coloring input). An unreadable input raises OSError.
     """
-    outcomes: list[tuple[str, bool]] = []
-    inputs = data.get("inputs", {})
-    for name, meta in inputs.items():
-        ok = Path(meta["path"]).exists() and file_digest(meta["path"]) == meta["sha256"]
-        outcomes.append((f"digest:{name}", ok))
+    metas = data.get("inputs", {})
+    raw = {name: Path(meta["path"]).read_bytes() for name, meta in metas.items()}
+    outcomes = [(f"digest:{name}", _digest(raw[name]) == meta["sha256"]) for name, meta in metas.items()]
     if any(not ok for _, ok in outcomes):
         return outcomes
-
-    graph = read_graph(inputs["graph"]["path"]) if "graph" in inputs else None
-    coloring = (
-        read_coloring(inputs["coloring"]["path"], graph.n if graph else None)
-        if "coloring" in inputs
-        else None
-    )
+    # Decoded as ``Path.read_text`` decodes, universal newlines included.
+    inputs = {name: b.decode().replace("\r\n", "\n").replace("\r", "\n") for name, b in raw.items()}
+    graph = graph_from_text(inputs["graph"]) if "graph" in inputs else None
+    n = graph.n if graph else None
+    coloring = coloring_from_text(inputs["coloring"], n) if "coloring" in inputs else None
     results = data.get("results", {})
 
     for key, record in results.items():
@@ -149,6 +151,9 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             outcomes.append((f"value:{key}", cost is not None and cost == record.get("value")))
             count = record.get("per_coloring_count")
             outcomes.append((f"count:{key}", graph is not None and count == 1 << max(graph.n - 1, 0)))
+        if "guarantee" in record:  # a function of the inputs alone, under the key's method
+            want = guarantee(key, graph, coloring) if graph is not None else None
+            outcomes.append((f"guarantee:{key}", want is not None and record["guarantee"] == want))
         witness = record.get("witness", record.get("solution"))
         if witness is None:
             continue

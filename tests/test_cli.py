@@ -480,6 +480,10 @@ def test_experiment_families_reproduces_closed_forms(tmp_path):
     header, body = rows[0].split(","), rows[1:]
     match_col = header.index("match")
     assert body and all(row.split(",")[match_col] == "1" for row in body)
+    # Each row's spec, as ``rbsep generate`` builds it, has the row's order.
+    for row in body:
+        spec, n = row.split(",")[:2]
+        assert build_from_spec(GeneratorSpec.parse(spec))[0].n == int(n), spec
 
 
 RATIO_SEED_1 = """\

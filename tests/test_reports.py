@@ -226,6 +226,84 @@ def test_verify_report_rechecks_bound_checks_without_parameters(tmp_path, inputs
     assert len(lines) == 2 + len(CHECK_NAMES)
 
 
+def test_report_written_with_relative_paths_rechecks_from_elsewhere(tmp_path, monkeypatch, capsys):
+    # Inputs are recorded by absolute path, so the recheck does not depend
+    # on the directory it runs in.
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "g.txt").write_text(GRAPH)
+    (run / "c.txt").write_text(COLORING)
+    monkeypatch.chdir(run)
+    argv = ["solve", "--graph", "g.txt", "--coloring", "c.txt", "--method", "exact"]
+    assert main([*argv, "--out", "report.json"]) == 0
+    data = json.loads((run / "report.json").read_text())
+    assert data["inputs"]["graph"]["path"] == str(run / "g.txt")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--report", "run/report.json"]) == 0
+    assert "recheck witness:exact ok\n" in capsys.readouterr().out
+
+
+def test_report_on_crlf_inputs_rechecks(tmp_path, capsys):
+    # The recheck parses the bytes it hashed as the run read the files,
+    # universal newlines included.
+    gpath, cpath, out = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "report.json"
+    gpath.write_bytes(GRAPH.replace("\n", "\r\n").encode())
+    cpath.write_bytes(COLORING.replace("\n", "\r\n").encode())
+    argv = ["solve", "--graph", str(gpath), "--coloring", str(cpath), "--method", "greedy"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 0
+    assert "recheck witness:greedy ok\n" in capsys.readouterr().out
+
+
+def test_verify_report_with_a_missing_input_exits_input(tmp_path, inputs, capsys):
+    # An input that cannot be read is not a false claim: exit 2, nothing
+    # rechecked, no traceback.
+    out = tmp_path / "report.json"
+    argv = ["solve", "--graph", inputs["graph"]["path"],
+            "--coloring", inputs["coloring"]["path"], "--method", "exact", "--out", str(out)]
+    assert main(argv) == 0
+    Path(inputs["graph"]["path"]).unlink()
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, key, edit",
+    [
+        (["solve", "--method", "greedy"], "greedy", lambda g: g * 2),
+        (["maxsep", "--mode", "approx"], "maxsep-approx", lambda g: g / 2),
+        (["solve", "--method", "triangle-free"], "triangle-free", lambda g: g + 1),
+        (["solve", "--method", "bounded-degree"], "bounded-degree", lambda g: g + 1),
+        # A method that records no guarantee.
+        (["solve", "--method", "exact"], "exact", lambda g: 1.0),
+    ],
+    ids=["greedy", "maxsep-approx", "triangle-free", "bounded-degree", "exact"],
+)
+def test_verify_report_rechecks_the_guarantee(tmp_path, inputs, capsys, argv, key, edit):
+    # The guarantee is a function of the method and its inputs alone.
+    out = tmp_path / "report.json"
+    paths = ["--graph", inputs["graph"]["path"]]
+    if argv[0] == "solve":
+        paths += ["--coloring", inputs["coloring"]["path"]]
+    assert main([*argv, *paths, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "FAIL" not in printed
+    assert (f"recheck guarantee:{key} ok\n" in printed) == (key != "exact")
+    data = json.loads(out.read_text())
+    record = data["results"][key]
+    record["guarantee"] = edit(record.get("guarantee"))
+    out.write_text(json.dumps(data))
+    assert main(["verify", "--report", str(out)]) == 1
+    assert f"recheck guarantee:{key} FAIL\n" in capsys.readouterr().out
+
+
 def test_record_writes_nested_results_as_json_values():
     from rbsep.bounds import BoundCheck, BoundsReport
     from rbsep.exact import MaxSepReport
