@@ -51,6 +51,7 @@ __all__ = [
     "xp_exact_small_class",
     "set_system_to_text",
     "guarantee",
+    "optimum_lower_bound",
 ]
 
 
@@ -78,8 +79,9 @@ class ApproxReport(NamedTuple):
 
     ``guarantee`` is the approximation factor for the greedy routes and the
     claimed cardinality bound for the constructive routes.
-    ``optimum_lower_bound`` comes from greedy accounting (coverage counting
-    plus the factor itself) and is 0 or 1 for the constructions.
+    ``optimum_lower_bound`` is what the function of that name gives: greedy
+    accounting (coverage counting plus the factor itself) for the greedy
+    routes, 0 or 1 for the constructions.
     """
 
     solution: tuple[int, ...]
@@ -126,18 +128,11 @@ def split_pairs(x: int, n: int) -> int:
     return out
 
 
-def _greedy_cover(cols: list[int], universe: int) -> ApproxReport:
-    # Greedy cover of ``universe`` by ``cols``, solution as column indices.
-    # Guarantee ln|U| + 1; the optimum lower bound is the better of
-    # |U| / (largest column) and greedy size / guarantee.
-    chosen = greedy_hitting_set(cols, universe)
-    size = universe.bit_count()
-    factor = math.log(size) + 1 if size else 1.0
-    lb = 0
-    if size:
-        max_set = max((col & universe).bit_count() for col in cols)
-        lb = max(math.ceil(size / max_set), math.ceil(len(chosen) / factor))
-    return ApproxReport(tuple(sorted(chosen)), factor, lb)
+def _cover_bound(elements: int, most: int, size: int) -> int:
+    # The better of |U| / (largest set) and cover size / (ln|U| + 1).
+    if not elements:
+        return 0
+    return max(math.ceil(elements / most), math.ceil(size / (math.log(elements) + 1)))
 
 
 def greedy_set_cover(sys: SetSystem) -> ApproxReport:
@@ -152,9 +147,11 @@ def greedy_set_cover(sys: SetSystem) -> ApproxReport:
     missing = universe & ~mask_of(e for _, elems in sys.sets for e in elems)
     if missing:
         raise Uncoverable(sys.element_labels[(missing & -missing).bit_length() - 1])
-    cover = _greedy_cover(cols, universe)
-    solution = tuple(sorted(sys.sets[i][0] for i in cover.solution))
-    return ApproxReport(solution, cover.guarantee, cover.optimum_lower_bound)
+    chosen = greedy_hitting_set(cols, universe)
+    size = sys.universe_size
+    solution = tuple(sorted(sys.sets[i][0] for i in chosen))
+    lower = _cover_bound(size, max((col.bit_count() for col in cols), default=0), len(chosen))
+    return ApproxReport(solution, math.log(size) + 1 if size else 1.0, lower)
 
 
 def guarantee(method: str, g: Graph, c: Coloring | None = None) -> float | None:
@@ -168,13 +165,45 @@ def guarantee(method: str, g: Graph, c: Coloring | None = None) -> float | None:
     return None
 
 
+def optimum_lower_bound(method: str, g: Graph, c: Coloring | None, size: int) -> int | None:
+    """The ``optimum_lower_bound`` CLI ``method`` records for a solution of
+    ``size`` on ``g`` colored ``c``; None if it records none.
+
+    For the greedy routes it is the better of |U| / (the most pairs of U one
+    vertex splits) and size / (ln|U| + 1), U being the red-blue pairs for
+    ``greedy`` and all pairs for ``maxsep-approx``. Vertex v with
+    |N[v]| = k, r of them red, splits r(|B| - k + r) + (|R| - r)(k - r)
+    red-blue pairs and k(n - k) pairs in all. For the constructions it is 1
+    when both classes are nonempty, else 0.
+    """
+    if method == "greedy" and c is not None:
+        reds, blues = c.red_count, c.blue_count
+        pairs = reds * blues
+        splits = []
+        for nv in g.closed:
+            k, r = nv.bit_count(), (nv & c.red_mask).bit_count()
+            splits.append(r * (blues - k + r) + (reds - r) * (k - r))
+    elif method == "maxsep-approx":
+        pairs = g.n * (g.n - 1) // 2
+        splits = [nv.bit_count() * (g.n - nv.bit_count()) for nv in g.closed]
+    elif method in ("triangle-free", "bounded-degree") and c is not None:
+        return 1 if c.red_count and c.blue_count else 0
+    else:
+        return None
+    most = max(splits, default=0)
+    if pairs and not most:  # no vertex splits a pair, so no set separates them
+        return None
+    return _cover_bound(pairs, most, size)
+
+
 def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
     """Greedy red-blue separating set with factor at most max(1, 2 ln n)."""
     require_rb_separable(g, c)
     cols = [split_pairs(nv, g.n) for nv in g.closed]
-    cover = _greedy_cover(cols, split_pairs(c.red_mask, g.n))
-    certify(verify_rb_separating(g, c, cover.solution))
-    return ApproxReport(cover.solution, guarantee("greedy", g), cover.optimum_lower_bound)
+    solution = tuple(sorted(greedy_hitting_set(cols, split_pairs(c.red_mask, g.n))))
+    certify(verify_rb_separating(g, c, solution))
+    lower = optimum_lower_bound("greedy", g, c, len(solution))
+    return ApproxReport(solution, guarantee("greedy", g), lower)
 
 
 def all_pairs_set_system(g: Graph) -> SetSystem:
@@ -195,9 +224,10 @@ def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
     require_twin_free(g)
     n = g.n
     cols = [split_pairs(nv, n) for nv in g.closed]
-    cover = _greedy_cover(cols, (1 << n * (n - 1) // 2) - 1)
-    certify(verify_separating(g, cover.solution))
-    return ApproxReport(cover.solution, guarantee("maxsep-approx", g), cover.optimum_lower_bound)
+    solution = tuple(sorted(greedy_hitting_set(cols, (1 << n * (n - 1) // 2) - 1)))
+    certify(verify_separating(g, solution))
+    lower = optimum_lower_bound("maxsep-approx", g, None, len(solution))
+    return ApproxReport(solution, guarantee("maxsep-approx", g), lower)
 
 
 def _oriented(c: Coloring) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -237,7 +267,8 @@ def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
                 chosen.add(others[0])
     solution = tuple(sorted(chosen))
     certify(verify_rb_separating(g, c, solution))
-    return ApproxReport(solution, guarantee("triangle-free", g, c), 0 if not small else 1)
+    lower = optimum_lower_bound("triangle-free", g, c, len(solution))
+    return ApproxReport(solution, guarantee("triangle-free", g, c), lower)
 
 
 def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
@@ -294,7 +325,8 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
 
     solution = tuple(sorted(chosen))
     certify(verify_rb_separating(g, c, solution))
-    return ApproxReport(solution, guarantee("bounded-degree", g, c), 0 if not small else 1)
+    lower = optimum_lower_bound("bounded-degree", g, c, len(solution))
+    return ApproxReport(solution, guarantee("bounded-degree", g, c), lower)
 
 
 def xp_exact_small_class(g: Graph, c: Coloring) -> SolveReport:

@@ -455,22 +455,28 @@ def gen_maxsep_gadget(sat: SatInstance) -> GadgetReduction:
 def gen_random_twin_free(
     n: int, edge_prob: float, seed: int, max_tries: int = 200
 ) -> Graph:
-    """G(n, p) conditioned on twin-freeness by rejection resampling."""
+    """G(n, p) conditioned on twin-freeness by rejection resampling.
+
+    The draw contract, which pinned instances rely on: one
+    ``random.Random(seed).random()`` per pair u < v in lexicographic order,
+    and an edge iff that draw is below ``edge_prob``. A draw with twins is
+    discarded, and the next draw continues the same stream.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge probability must be in [0, 1]")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     for _ in range(max_tries):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < edge_prob
-        ]
-        g = Graph.from_edges(n, edges)
-        if next(code_pairs(g.closed, -1), None) is None:
-            return g
+        rows = [0] * n
+        for u in range(n):
+            bit = 1 << u
+            for v in range(u + 1, n):
+                if draw() < edge_prob:
+                    rows[u] |= 1 << v
+                    rows[v] |= bit
+        if next(code_pairs([1 << v | row for v, row in enumerate(rows)], -1), None) is None:
+            return Graph(n, tuple(rows))
     raise TwinFreeUnreachable(f"no twin-free graph with n={n}, p={edge_prob} after {max_tries} tries")
 
 

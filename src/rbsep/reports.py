@@ -6,8 +6,9 @@ is its result record's ``NamedTuple`` fields by name (``record``); solver
 records add ``verifies``, the claim kind a re-check tests, and maxsep-approx
 records also carry ``upper_bound`` and ``lower_bound``.
 ``reverify_run_report`` reads each input once and checks every claimed
-witness against the verifiers again, the sizes and ``guarantee`` its record
-claims against the witness's size and ``approx.guarantee``, a maxsep lower
+witness against the verifiers again, the sizes, ``guarantee`` and
+``optimum_lower_bound`` its record claims against the witness's size,
+``approx.guarantee`` and ``approx.optimum_lower_bound``, a maxsep lower
 bound against ``bounds.maxsep_lower_bound``, that a worst coloring is an R/B
 string of the graph's order, that the exact kernel's optimum on it is the
 claimed ``value``, and that ``per_coloring_count`` is the sweep's 2^(n-1)
@@ -24,7 +25,7 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Any
 
-from .approx import guarantee
+from .approx import guarantee, optimum_lower_bound
 from .bounds import BoundsReport, bound_checks, maxsep_lower_bound, tree_support_count
 from .errors import RBSepError
 from .exact import sep_rb_exact
@@ -154,6 +155,10 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
         if "guarantee" in record:  # a function of the inputs alone, under the key's method
             want = guarantee(key, graph, coloring) if graph is not None else None
             outcomes.append((f"guarantee:{key}", want is not None and record["guarantee"] == want))
+        if "optimum_lower_bound" in record:  # so is this, given the solution's size
+            size = len(record.get("solution", []))
+            want = optimum_lower_bound(key, graph, coloring, size) if graph is not None else None
+            outcomes.append((f"lower:{key}", want is not None and record["optimum_lower_bound"] == want))
         witness = record.get("witness", record.get("solution"))
         if witness is None:
             continue

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -211,6 +212,27 @@ def test_random_sources_determinism():
     g1 = gen_random_twin_free(8, 0.35, 123)
     g2 = gen_random_twin_free(8, 0.35, 123)
     assert graph_to_text(g1) == graph_to_text(g2)
+
+
+# Small n with high p rejects draws with twins: 39 of the 96 twin-free
+# points need a retry, one of them 46 draws, so the retries are pinned too.
+TWIN_FREE_GRID = [(n, p, seed) for n in (1, 2, 3, 4, 6, 9, 16, 28)
+                  for p in (0.1, 0.3, 0.6, 0.9) for seed in (0, 1, 2)]
+TREE_GRID = [(n, seed) for n in (1, 2, 3, 4, 7, 12, 40, 200) for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "generate, grid, digest",
+    [
+        (gen_random_twin_free, TWIN_FREE_GRID, "c79bf57b8c1d0d73fcded26deaff4e03"),
+        (gen_random_tree, TREE_GRID, "36bdb07a0cba9a38a857987d5cd7c948"),
+    ],
+    ids=["twin-free", "tree"],
+)
+def test_random_sources_are_pinned(generate, grid, digest):
+    # Every seeded instance the benchmark and the CSV suites draw stays the same.
+    adjs = [generate(*args).adj for args in grid]
+    assert hashlib.md5(repr(adjs).encode()).hexdigest() == digest
 
 
 def test_random_twin_free_unreachable():

@@ -304,6 +304,37 @@ def test_verify_report_rechecks_the_guarantee(tmp_path, inputs, capsys, argv, ke
     assert f"recheck guarantee:{key} FAIL\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["solve", "--method", "greedy"], "greedy"),
+        (["maxsep", "--mode", "approx"], "maxsep-approx"),
+        (["solve", "--method", "triangle-free"], "triangle-free"),
+        (["solve", "--method", "bounded-degree"], "bounded-degree"),
+    ],
+    ids=["greedy", "maxsep-approx", "triangle-free", "bounded-degree"],
+)
+def test_verify_report_rechecks_the_optimum_lower_bound(tmp_path, inputs, capsys, argv, key, delta):
+    # The bound is a function of the method, its inputs and the solution's
+    # size; moved by one either way it is still at most that size.
+    out = tmp_path / "report.json"
+    paths = ["--graph", inputs["graph"]["path"]]
+    if argv[0] == "solve":
+        paths += ["--coloring", inputs["coloring"]["path"]]
+    assert main([*argv, *paths, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "FAIL" not in printed and f"recheck lower:{key} ok\n" in printed
+    data = json.loads(out.read_text())
+    data["results"][key]["optimum_lower_bound"] += delta
+    out.write_text(json.dumps(data))
+    assert main(["verify", "--report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert f"recheck lower:{key} FAIL\n" in printed and f"recheck witness:{key} ok\n" in printed
+
+
 def test_record_writes_nested_results_as_json_values():
     from rbsep.bounds import BoundCheck, BoundsReport
     from rbsep.exact import MaxSepReport
