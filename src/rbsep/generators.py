@@ -21,7 +21,6 @@ are pure functions of their seed.
 
 from __future__ import annotations
 
-import heapq
 import random
 from itertools import combinations
 from typing import NamedTuple
@@ -481,29 +480,43 @@ def gen_random_twin_free(
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:
-    """Uniform random labeled tree from a random Pruefer sequence."""
+    """Uniform random labeled tree from a random Pruefer sequence.
+
+    The draw contract, which pinned instances rely on: the sequence is
+    n - 2 draws of ``random.Random(seed).randrange(n)``, decoded by the
+    smallest-leaf rule (each entry x is joined to the smallest leaf left,
+    which is then removed; the last two vertices left are joined). n = 1
+    gives the single vertex and n = 2 the single edge, with no draws.
+
+    The decode walks a pointer up the vertices, so it takes linear time: the
+    next leaf is x itself when x has just become a leaf below the pointer,
+    else the next degree-1 vertex above the pointer. The last vertex left
+    besides that leaf is n - 1, which is never the smallest of two leaves.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
-        return Graph.from_edges(1, [])
+        return Graph(1, (0,))
     if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
+        return Graph(2, (0b10, 0b01))
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    rows = [0] * n
+    ptr = leaf = degree.index(1)
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        rows[leaf] |= 1 << x
+        rows[x] |= 1 << leaf
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Graph.from_edges(n, edges)
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr = leaf = degree.index(1, ptr + 1)
+    rows[leaf] |= 1 << n - 1
+    rows[n - 1] |= 1 << leaf
+    return Graph(n, tuple(rows))
 
 
 def pair_count(n: int) -> int:

@@ -164,6 +164,7 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple)])):
 
 RED = "R"
 BLUE = "B"
+_COLOR_OF_DIGIT = str.maketrans("01", BLUE + RED)
 
 
 class Coloring(NamedTuple("Coloring", [("n", int), ("red_mask", int)])):
@@ -195,7 +196,8 @@ class Coloring(NamedTuple("Coloring", [("n", int), ("red_mask", int)])):
         return cls(n, mask_of(reds))
 
     def to_string(self) -> str:
-        return "".join(RED if self.red_mask >> v & 1 else BLUE for v in range(self.n))
+        # A sentinel bit at n gives exactly n digits below it, even for n = 0.
+        return format(self.red_mask | 1 << self.n, "b")[:0:-1].translate(_COLOR_OF_DIGIT)
 
     def is_red(self, v: int) -> bool:
         return bool(self.red_mask >> v & 1)

@@ -16,7 +16,7 @@ any further line is an error:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import FormatError
 from .graphs import Coloring, Graph
@@ -42,10 +42,29 @@ __all__ = [
 MAX_GRAPH_ORDER = 10_000
 
 
+# A chunk of graph text closes at the first row end where it holds this many
+# lines: a 1000-vertex tree is one chunk, and a large dense graph is written
+# without ever holding its whole text.
+_CHUNK_LINES = 4096
+
+
+def _graph_chunks(g: Graph) -> Iterator[str]:
+    """The graph's text in pieces of whole lines, in one pass over the rows."""
+    out = [f"{g.n} {g.m}\n"]
+    for u, row in enumerate(g.adj):
+        high = row >> u + 1
+        while high:
+            low = high & -high
+            out.append(f"{u} {u + low.bit_length()}\n")
+            high ^= low
+        if len(out) >= _CHUNK_LINES:
+            yield "".join(out)
+            out = []
+    yield "".join(out)
+
+
 def graph_to_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(_graph_chunks(g))
 
 
 def graph_from_text(text: str) -> Graph:
@@ -131,7 +150,8 @@ def vertex_set_from_text(text: str) -> tuple[int, ...]:
 
 
 def write_graph(path: str | Path, g: Graph) -> None:
-    Path(path).write_text(graph_to_text(g))
+    with Path(path).open("w") as f:
+        f.writelines(_graph_chunks(g))
 
 
 def read_graph(path: str | Path) -> Graph:

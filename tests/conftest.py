@@ -6,12 +6,16 @@ subsets in ascending size, so they exercise a different code path than the
 branch-and-bound solvers they certify. ``cached_sweep_universes`` is the
 exception: it pins which colorings the worst-coloring sweep solves, so it
 replays the one-coloring-at-a-time sweep with the package's own greedy and
-kernel.
+kernel. ``heap_prufer_tree`` and ``edge_list_text`` are the straightforward
+heap decode and edge-list writer that the random tree source and the graph
+text writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import random
 from itertools import combinations
 
 from rbsep.graphs import Coloring, Graph
@@ -32,6 +36,46 @@ def star_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+# Seeded random sources the pinned digests, the benchmark and the CSV suites
+# rely on. Small n with high p rejects draws with twins: 39 of the 96
+# twin-free points need a retry, one of them 46 draws, so the retries are
+# pinned too.
+TWIN_FREE_GRID = [(n, p, seed) for n in (1, 2, 3, 4, 6, 9, 16, 28)
+                  for p in (0.1, 0.3, 0.6, 0.9) for seed in (0, 1, 2)]
+TREE_GRID = [(n, seed) for n in (1, 2, 3, 4, 7, 12, 40, 200) for seed in (0, 1, 2)]
+
+
+def heap_prufer_tree(n: int, seed: int) -> Graph:
+    """The random tree of the draw contract, decoded with a heap of leaves."""
+    if n == 1:
+        return Graph.from_edges(1, [])
+    if n == 2:
+        return Graph.from_edges(2, [(0, 1)])
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph.from_edges(n, edges)
+
+
+def edge_list_text(g: Graph) -> str:
+    """The graph text format written from ``g.edges()``."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 def closed_sets(g: Graph) -> list[frozenset[int]]:

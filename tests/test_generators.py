@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from conftest import brute_cover_optimum, cycle_graph, path_graph
+from conftest import (
+    TREE_GRID,
+    TWIN_FREE_GRID,
+    brute_cover_optimum,
+    cycle_graph,
+    heap_prufer_tree,
+    path_graph,
+)
 from rbsep.errors import (
     BadPivot,
     InvalidParts,
@@ -214,13 +221,6 @@ def test_random_sources_determinism():
     assert graph_to_text(g1) == graph_to_text(g2)
 
 
-# Small n with high p rejects draws with twins: 39 of the 96 twin-free
-# points need a retry, one of them 46 draws, so the retries are pinned too.
-TWIN_FREE_GRID = [(n, p, seed) for n in (1, 2, 3, 4, 6, 9, 16, 28)
-                  for p in (0.1, 0.3, 0.6, 0.9) for seed in (0, 1, 2)]
-TREE_GRID = [(n, seed) for n in (1, 2, 3, 4, 7, 12, 40, 200) for seed in (0, 1, 2)]
-
-
 @pytest.mark.parametrize(
     "generate, grid, digest",
     [
@@ -233,6 +233,18 @@ def test_random_sources_are_pinned(generate, grid, digest):
     # Every seeded instance the benchmark and the CSV suites draw stays the same.
     adjs = [generate(*args).adj for args in grid]
     assert hashlib.md5(repr(adjs).encode()).hexdigest() == digest
+
+
+def test_random_tree_matches_heap_decode():
+    for n in range(1, 65):
+        for seed in range(6):
+            assert gen_random_tree(n, seed) == heap_prufer_tree(n, seed), (n, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_tree_matches_heap_decode_at_benchmark_order(seed):
+    # The order of the benchmark's tree constructions, far past TREE_GRID's 200.
+    assert gen_random_tree(1000, seed) == heap_prufer_tree(1000, seed)
 
 
 def test_random_twin_free_unreachable():

@@ -241,6 +241,17 @@ def test_coloring_round_trip():
         Coloring(2, 4)  # vertex 2 red in a 2-vertex coloring
 
 
+def test_coloring_string_is_one_color_per_vertex():
+    rng = random.Random(0)
+    for n in range(71):
+        full = (1 << n) - 1
+        for mask in {0, full, 1 & full, full >> 1 << 1, rng.getrandbits(n), rng.getrandbits(n)}:
+            c = Coloring(n, mask)
+            text = c.to_string()
+            assert text == "".join("R" if mask >> v & 1 else "B" for v in range(n))
+            assert Coloring.from_string(text) == c
+
+
 @st.composite
 def graph_and_coloring(draw):
     n = draw(st.integers(min_value=1, max_value=8))

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import path_graph
+from conftest import TREE_GRID, TWIN_FREE_GRID, edge_list_text, path_graph
 from rbsep.errors import FormatError
-from rbsep.generators import gen_random_tree
+from rbsep.generators import gen_random_tree, gen_random_twin_free
 from rbsep.graphs import Coloring, Graph
 from rbsep.io import (
     MAX_GRAPH_ORDER,
@@ -12,8 +12,10 @@ from rbsep.io import (
     coloring_to_text,
     graph_from_text,
     graph_to_text,
+    read_graph,
     vertex_set_from_text,
     vertex_set_to_text,
+    write_graph,
 )
 
 
@@ -53,6 +55,23 @@ def random_graphs(count: int):
 def test_graph_reader_round_trips_random_graphs_and_trees():
     for g in random_graphs(200):
         assert graph_from_text(graph_to_text(g)) == g
+
+
+def test_graph_text_matches_the_edge_list_text():
+    grid = [gen_random_tree(*args) for args in TREE_GRID]
+    grid += [gen_random_twin_free(*args) for args in TWIN_FREE_GRID]
+    for g in grid:
+        assert graph_to_text(g) == edge_list_text(g)
+
+
+def test_written_graph_file_is_the_graph_text(tmp_path):
+    # K_200 has 19,900 edge lines, so the writer streams it in several pieces.
+    k200 = Graph.from_edges(200, [(u, v) for u in range(200) for v in range(u + 1, 200)])
+    for i, g in enumerate([Graph(0, ()), path_graph(4), gen_random_tree(1000, 0), k200]):
+        path = tmp_path / f"{i}.graph.txt"
+        write_graph(path, g)
+        assert path.read_bytes() == edge_list_text(g).encode()
+        assert read_graph(path) == g
 
 
 def test_duplicate_edge_is_reported_at_the_repeat():
