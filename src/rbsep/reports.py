@@ -1,20 +1,19 @@
 """Report records and their on-disk JSON form.
 
-A run report carries the command echo, the absolute path and sha256 digest
-of each input, the per-operation results, and any bound checks. Each record
-is its result record's ``NamedTuple`` fields by name (``record``); solver
-records add ``verifies``, the claim kind a re-check tests, and maxsep-approx
-records also carry ``upper_bound`` and ``lower_bound``.
-``reverify_run_report`` reads each input once and checks every claimed
-witness against the verifiers again, the sizes, ``guarantee`` and
-``optimum_lower_bound`` its record claims against the witness's size,
-``approx.guarantee`` and ``approx.optimum_lower_bound``, a maxsep lower
-bound against ``bounds.maxsep_lower_bound``, that a worst coloring is an R/B
-string of the graph's order, that the exact kernel's optimum on it is the
-claimed ``value``, and that ``per_coloring_count`` is the sweep's 2^(n-1)
-colorings. A ``bounds`` report's n, max_degree and support_count must be
-the graph's, and its checks what ``bounds.bound_checks`` gives on them and
-the claimed sep, maxsep and gamma.
+A run report (``rbsep-report/2``) carries the command echo, the absolute path and
+sha256 digest of each input, and one record per result key: the result's
+``NamedTuple`` fields by name (``record``), with ``lower_bound`` added under
+maxsep-approx and ``checks`` nested under ``bounds``. The key alone decides
+the claim: ``SET_CLAIMS`` maps each key whose record holds a set to the
+set's field and claim kind, and ``maxsep-exact`` and ``bounds`` are the only
+other keys. ``reverify_run_report`` reads each input once and checks every
+key's claim again, failing it when its evidence is missing: each set against
+the verifiers, and its record's sizes, ``guarantee`` and ``optimum_lower_bound``
+against its size, ``approx`` and ``bounds.maxsep_lower_bound``; that a worst
+coloring is an R/B string of the graph's order whose exact optimum is the
+claimed ``value``, and that ``per_coloring_count`` is 2^(n-1); that a
+``bounds`` record's n, max_degree and support_count are the graph's, and its
+checks what the ``bounds`` inequalities give on them and its sep, maxsep and gamma.
 """
 
 from __future__ import annotations
@@ -41,7 +40,14 @@ __all__ = [
     "file_digest",
 ]
 
-FORMAT = "rbsep-report/1"
+FORMAT = "rbsep-report/2"
+
+# The keys whose record holds a set: the field holding it and its claim kind.
+SET_CLAIMS = {
+    **dict.fromkeys(("exact", "xp"), ("witness", "rb")),
+    **dict.fromkeys(("greedy", "triangle-free", "bounded-degree"), ("solution", "rb")),
+    "maxsep-approx": ("solution", "all-pairs"),
+}
 
 
 def file_digest(path: str | Path) -> str:
@@ -70,18 +76,18 @@ def _json_value(v):
 
 
 def write_run_report(path: str | Path, command: list[str], inputs: dict[str, str | Path],
-                     results: dict[str, Any], bound_checks: list | tuple, start: float) -> None:
-    """Write an ``rbsep-report/1`` file timed from ``start`` to after hashing the inputs."""
+                     results: dict[str, Any], start: float) -> None:
+    """Write a ``FORMAT`` file timed from ``start`` to after hashing the inputs."""
     hashed = {name: {"path": str(Path(p).absolute()), "sha256": file_digest(p)} for name, p in inputs.items()}
     data = {"format": FORMAT, "command": command, "inputs": hashed, "results": results,
-            "bound_checks": list(bound_checks), "elapsed_ms": (time.perf_counter() - start) * 1000.0}
+            "elapsed_ms": (time.perf_counter() - start) * 1000.0}
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def load_run_report(path: str | Path) -> dict[str, Any]:
     """Read a report and check the structure ``reverify_run_report`` reads.
 
-    Raises ValueError naming the first missing or mistyped field.
+    Raises ValueError naming the first missing or mistyped field, or an unknown key.
     """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
@@ -91,9 +97,6 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
     for key in ("inputs", "results"):
         if not isinstance(data.get(key, {}), dict):
             raise ValueError(f"report field {key!r} must be an object")
-    checks = data.get("bound_checks", [])
-    if not isinstance(checks, list) or any(not isinstance(c, dict) for c in checks):
-        raise ValueError("report field 'bound_checks' must be a list of objects")
     for name, meta in data.get("inputs", {}).items():
         for key in ("path", "sha256"):
             if not isinstance(meta, dict) or not isinstance(meta.get(key), str):
@@ -109,23 +112,28 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
                 raise ValueError(f"report result {name!r} field {key!r} repeats a vertex")
         if not isinstance(record.get("worst_coloring", ""), str):
             raise ValueError(f"report result {name!r} field 'worst_coloring' must be a string")
-        for key in ("optimum", "optimum_lower_bound", "upper_bound", "lower_bound", "value",
+        checks = record.get("checks", [])
+        if not isinstance(checks, list) or any(not isinstance(c, dict) for c in checks):
+            raise ValueError(f"report result {name!r} field 'checks' must be a list of objects")
+        for key in ("optimum", "optimum_lower_bound", "lower_bound", "value",
                     "per_coloring_count", "n", "gamma", "max_degree"):
             if type(record.get(key, 0)) is not int:
                 raise ValueError(f"report result {name!r} field {key!r} must be an integer")
         for key in ("sep", "maxsep", "support_count"):
             if record.get(key) is not None and type(record[key]) is not int:
                 raise ValueError(f"report result {name!r} field {key!r} must be an integer or null")
+        if name not in SET_CLAIMS and name not in ("maxsep-exact", "bounds"):
+            raise ValueError(f"unknown report result {name!r}")
     return data
 
 
 def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
-    """Re-check every witness in a loaded report against its input files.
+    """Re-check every claim in a loaded report against its input files.
 
     Returns (claim, ok) pairs; digest mismatches fail the corresponding
     claim rather than raising, and so does every claim that cannot be
-    checked (a witness without a graph input or with a vertex outside it,
-    an rb witness without a coloring input). An unreadable input raises OSError.
+    checked (its evidence missing, a set without a graph input or with a
+    vertex outside it, an rb set without a coloring input). An unreadable input raises OSError.
     """
     metas = data.get("inputs", {})
     raw = {name: Path(meta["path"]).read_bytes() for name, meta in metas.items()}
@@ -137,11 +145,12 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
     graph = graph_from_text(inputs["graph"]) if "graph" in inputs else None
     n = graph.n if graph else None
     coloring = coloring_from_text(inputs["coloring"], n) if "coloring" in inputs else None
-    results = data.get("results", {})
 
-    for key, record in results.items():
-        if "worst_coloring" in record:
-            worst = record["worst_coloring"]
+    for key, record in data.get("results", {}).items():
+        if key == "bounds":
+            outcomes += _recheck_bounds(graph, record)
+        if key == "maxsep-exact":
+            worst = record.get("worst_coloring", "")
             ok = graph is not None and len(worst) == graph.n and set(worst) <= {RED, BLUE}
             outcomes.append((f"coloring-length:{key}", ok))
             # The value's lower side: the worst coloring costs exactly the value.
@@ -159,36 +168,33 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             size = len(record.get("solution", []))
             want = optimum_lower_bound(key, graph, coloring, size) if graph is not None else None
             outcomes.append((f"lower:{key}", want is not None and record["optimum_lower_bound"] == want))
-        witness = record.get("witness", record.get("solution"))
-        if witness is None:
+        if key not in SET_CLAIMS:
             continue
-        kind = record.get("verifies", "rb" if coloring is not None else "all-pairs")
-        size = len(witness)
-        # An optimum and an approx upper bound are the witness's size; a lower
-        # bound is at most it, and a maxsep lower bound at most the proven one.
+        field, kind = SET_CLAIMS[key]
+        witness = record.get(field)
+        # An optimum is the set's size; a lower bound is at most it, and a
+        # maxsep lower bound at most the proven one.
         ok = (
-            graph is not None
+            graph is not None and witness is not None
             and all(0 <= v < graph.n for v in witness)
             and violation(graph, kind, witness, coloring) is None
-            and record.get("optimum", size) == size == record.get("upper_bound", size)
-            and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= size
+            and record.get("optimum", len(witness)) == len(witness)
+            and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= len(witness)
             and record.get("lower_bound", 0) <= maxsep_lower_bound(graph.n)
         )
         outcomes.append((f"witness:{key}", ok))
-    if "parameters" in results or data.get("bound_checks"):
-        outcomes += _recheck_bounds(graph, results.get("parameters", {}), data.get("bound_checks", []))
     return outcomes
 
 
-def _recheck_bounds(graph, parameters: dict, claimed: list) -> list[tuple[str, bool]]:
+def _recheck_bounds(graph, claimed: dict) -> list[tuple[str, bool]]:
     # The graph's own n, max_degree and support_count with the claimed sep,
-    # maxsep and gamma must give the claimed parameters and every check.
+    # maxsep and gamma must give the claimed record, every check included.
     if graph is None:
         return [("parameters", False)]
-    params = (graph.n, parameters.get("sep"), parameters.get("maxsep"), parameters.get("gamma", 0),
+    params = (graph.n, claimed.get("sep"), claimed.get("maxsep"), claimed.get("gamma", 0),
               graph.max_degree, tree_support_count(graph))
     want = record(BoundsReport(*params, bound_checks(*params)))
-    checks = zip_longest(want.pop("checks"), claimed)
-    return [("parameters", want == parameters)] + [
+    checks = zip_longest(want["checks"], claimed.get("checks", []))
+    return [("parameters", want == {**claimed, "checks": want["checks"]})] + [
         (f"bound:{(check or claim).get('name')}", check == claim) for check, claim in checks
     ]

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from rbsep.cli import main
 from rbsep.generators import MAX_SPEC_EDGES, GeneratorSpec, build_from_spec, gen_random_twin_free
 from rbsep.graphs import Coloring
 from rbsep.io import MAX_GRAPH_ORDER, read_coloring, read_graph, write_coloring, write_graph
-from rbsep.reports import file_digest
+from rbsep.reports import FORMAT, file_digest
 
 from conftest import path_graph
 
@@ -310,11 +311,11 @@ def test_verify_rb_without_coloring_exits_input(tmp_path, capsys):
     "data, field",
     [
         ([1], "'format'"),
-        ({"format": "rbsep-report/1", "inputs": {"graph": {}}}, "'path'"),
-        ({"format": "rbsep-report/1", "inputs": {"graph": {"path": "g.txt"}}}, "'sha256'"),
-        ({"format": "rbsep-report/1", "inputs": []}, "'inputs'"),
-        ({"format": "rbsep-report/1", "results": []}, "'results'"),
-        ({"format": "rbsep-report/1", "bound_checks": [1]}, "'bound_checks'"),
+        ({"format": FORMAT, "inputs": {"graph": {}}}, "'path'"),
+        ({"format": FORMAT, "inputs": {"graph": {"path": "g.txt"}}}, "'sha256'"),
+        ({"format": FORMAT, "inputs": []}, "'inputs'"),
+        ({"format": FORMAT, "results": []}, "'results'"),
+        ({"format": FORMAT, "results": {"bounds": {"checks": [1]}}}, "'checks'"),
     ],
 )
 def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
@@ -327,7 +328,7 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
 @pytest.mark.parametrize(
     "record, field",
     [
-        ({"witness": ["a"], "verifies": "all-pairs"}, "'witness'"),
+        ({"witness": ["a"]}, "'witness'"),
         ({"solution": "0 1"}, "'solution'"),
         ({"value": 2, "worst_coloring": 5}, "'worst_coloring'"),
         ({"witness": [0], "optimum": "1"}, "'optimum'"),
@@ -357,7 +358,7 @@ def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, recor
 def test_verify_report_fails_a_witness_without_a_graph(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(
-        json.dumps({"format": "rbsep-report/1", "inputs": {}, "results": {"exact": {"witness": []}}})
+        json.dumps({"format": FORMAT, "inputs": {}, "results": {"exact": {"witness": []}}})
     )
     assert main(["verify", "--report", str(path)]) == 1
     assert "recheck witness:exact FAIL" in capsys.readouterr().out
@@ -368,7 +369,7 @@ def test_verify_report_fails_a_witness_without_a_graph(tmp_path, capsys):
     [
         (["solve", "--method", "exact"], "exact", {"optimum": 1}),
         (["solve", "--method", "greedy"], "greedy", {"optimum_lower_bound": 4}),
-        (["maxsep", "--mode", "approx"], "maxsep-approx", {"upper_bound": 0, "lower_bound": 9}),
+        (["maxsep", "--mode", "approx"], "maxsep-approx", {"optimum_lower_bound": 4}),
         (["maxsep", "--mode", "approx"], "maxsep-approx", {"lower_bound": 5}),
         # Above maxsep_lower_bound(4) = 2, though not above the solution's size.
         (["maxsep", "--mode", "approx"], "maxsep-approx", {"lower_bound": 3}),
@@ -431,7 +432,7 @@ def test_verify_report_fails_a_value_whose_recheck_raises(tmp_path, capsys):
     write_graph(gpath, path_graph(2))
     inputs = {"graph": {"path": str(gpath), "sha256": file_digest(gpath)}}
     results = {"maxsep-exact": {"value": 1, "worst_coloring": "BR"}}
-    path.write_text(json.dumps({"format": "rbsep-report/1", "inputs": inputs, "results": results}))
+    path.write_text(json.dumps({"format": FORMAT, "inputs": inputs, "results": results}))
     assert main(["verify", "--report", str(path)]) == 1
     printed = capsys.readouterr().out
     assert "recheck coloring-length:maxsep-exact ok" in printed
@@ -447,12 +448,12 @@ def test_verify_report_fails_an_out_of_range_witness(tmp_path, capsys, vertex):
     inputs = ["--graph", str(gpath), "--coloring", str(cpath)]
     assert main(["solve", "--method", "exact", *inputs, "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    data["results"]["bad"] = {**data["results"]["exact"], "witness": [vertex]}
+    data["results"]["xp"] = {**data["results"]["exact"], "witness": [vertex]}
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 1
     printed = capsys.readouterr().out
-    assert "recheck witness:bad FAIL" in printed and "recheck witness:exact ok" in printed
+    assert "recheck witness:xp FAIL" in printed and "recheck witness:exact ok" in printed
 
 
 def test_generate_rejects_oversized_order(tmp_path, capsys):
@@ -486,17 +487,31 @@ def test_experiment_families_reproduces_closed_forms(tmp_path):
         assert build_from_spec(GeneratorSpec.parse(spec))[0].n == int(n), spec
 
 
+@pytest.mark.parametrize("suite", ["ratio", "fuzz"])
+def test_experiment_specs_rebuild_their_rows(tmp_path, suite):
+    # Each row's spec, as ``rbsep generate`` builds it, has the row's order,
+    # and a ratio row's edge count too.
+    out = tmp_path / f"{suite}.csv"
+    assert main(["experiment", "--suite", suite, "--sizes", "5,8", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        g, _ = build_from_spec(GeneratorSpec.parse(row["spec"]))
+        assert (g.n, g.m) == (int(row["n"]), int(row.get("m", g.m))), row["spec"]
+
+
 RATIO_SEED_1 = """\
 spec,n,m,max_degree,gamma,sep,maxsep,floor_log2_n,lb_ok,ratio_log_ok,ratio_degree_ok,coloring,sep_rb,greedy_size,greedy_ratio_ok
-random:n=1;p=0.4;seed=288545018,1,0,0,1,0,0,0,1,1,1,B,0,0,1
-random:n=1;p=0.4;seed=547756574,1,0,0,1,0,0,0,1,1,1,B,0,0,1
-random:n=1;p=0.4;seed=1063938749,1,0,0,1,0,0,0,1,1,1,R,0,0,1
-random:n=5;p=0.4;seed=1014138928,5,4,3,2,3,3,2,1,1,1,BBBRR,3,3,1
-random:n=5;p=0.4;seed=450874518,5,6,4,1,3,3,2,1,1,1,BRRBB,1,1,1
-random:n=5;p=0.4;seed=1047664193,5,5,3,2,3,3,2,1,1,1,RBBBB,2,2,1
-random:n=6;p=0.4;seed=837108038,6,9,4,2,3,3,2,1,1,1,RRRBRR,2,2,1
-random:n=6;p=0.4;seed=4522707,6,4,3,3,3,3,2,1,1,1,RBBRRR,3,3,1
-random:n=6;p=0.4;seed=571940513,6,5,3,3,3,3,2,1,1,1,RBRRRB,3,3,1
+"random:n=1,p=0.4,seed=288545018",1,0,0,1,0,0,0,1,1,1,B,0,0,1
+"random:n=1,p=0.4,seed=547756574",1,0,0,1,0,0,0,1,1,1,B,0,0,1
+"random:n=1,p=0.4,seed=1063938749",1,0,0,1,0,0,0,1,1,1,R,0,0,1
+"random:n=5,p=0.4,seed=1014138928",5,4,3,2,3,3,2,1,1,1,BBBRR,3,3,1
+"random:n=5,p=0.4,seed=450874518",5,6,4,1,3,3,2,1,1,1,BRRBB,1,1,1
+"random:n=5,p=0.4,seed=1047664193",5,5,3,2,3,3,2,1,1,1,RBBBB,2,2,1
+"random:n=6,p=0.4,seed=837108038",6,9,4,2,3,3,2,1,1,1,RRRBRR,2,2,1
+"random:n=6,p=0.4,seed=4522707",6,4,3,3,3,3,2,1,1,1,RBBRRR,3,3,1
+"random:n=6,p=0.4,seed=571940513",6,5,3,3,3,3,2,1,1,1,RBRRRB,3,3,1
 """
 
 
@@ -511,10 +526,9 @@ def test_experiment_ratio_columns_hold(tmp_path):
     out = str(tmp_path / "ratio.csv")
     res = run_cli("experiment", "--suite", "ratio", "--seed", "3", "--sizes", "5,6", "--out", out)
     assert res.returncode == 0
-    rows = open(out).read().strip().splitlines()
-    header = rows[0].split(",")
-    for row in rows[1:]:
-        record = dict(zip(header, row.split(",")))
+    with open(out, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    for record in records:
         for flag in ("lb_ok", "ratio_log_ok", "ratio_degree_ok", "greedy_ratio_ok"):
             assert record[flag] in ("", "1")
 

@@ -1,9 +1,10 @@
-"""Whole run-report records, pinned field by field.
+"""Whole run-report records, pinned field by field, and their recheck.
 
-Each case runs ``rbsep.cli.main`` with ``--out`` on one fixed 7-vertex tree
-and compares the JSON it writes, with the timings and the command echo
-removed, against the record the CLI has always written for it. Two more
-check what importing the package loads.
+The pins run ``rbsep.cli.main`` with ``--out`` on one fixed 7-vertex tree
+and compare the JSON it writes, with the timings and the command echo
+removed, against the record pinned for it. The recheck cases edit such a
+report, or one made from spider:k=2, and run ``verify --report`` on it. Two
+more check what importing the package loads.
 """
 
 import json
@@ -16,6 +17,9 @@ import pytest
 
 import rbsep
 from rbsep.cli import main
+from rbsep.generators import GeneratorSpec, build_from_spec
+from rbsep.io import write_coloring, write_graph
+from rbsep.reports import FORMAT
 
 GRAPH = "7 6\n0 1\n1 2\n2 3\n1 4\n4 5\n5 6\n"
 COLORING = "RBBRBRB\n"
@@ -26,16 +30,12 @@ COLORING_SHA = "11675ca66d2e9c4f243a81bf47c5e3b14702800fb4330ad6f8410b1e50b003e9
 # below it, at limit 2, refutes size 2 in one node and one child tried. The
 # deepening searches at sizes 0, 1 and 2 and then 3 read 7.
 EXACT = {
-    "method": "branch-and-bound", "nodes_explored": 2, "optimum": 3,
-    "verifies": "rb", "witness": [1, 2, 4],
+    "method": "branch-and-bound", "nodes_explored": 2, "optimum": 3, "witness": [1, 2, 4],
 }
 
 
 def _approx(solution, guarantee, lower):
-    return {
-        "guarantee": guarantee, "optimum_lower_bound": lower,
-        "solution": solution, "verifies": "rb",
-    }
+    return {"guarantee": guarantee, "optimum_lower_bound": lower, "solution": solution}
 
 
 SOLVE = {
@@ -48,15 +48,12 @@ SOLVE = {
 
 MAXSEP = {
     "exact": {
-        "maxsep-exact": {
-            "per_coloring_count": 64, "value": 3, "verifies": "none",
-            "worst_coloring": "BRBRBRB",
-        }
+        "maxsep-exact": {"per_coloring_count": 64, "value": 3, "worst_coloring": "BRBRBRB"}
     },
     "approx": {
         "maxsep-approx": {
             "guarantee": 14.67546089433188, "lower_bound": 2, "optimum_lower_bound": 2,
-            "solution": [1, 2, 4], "upper_bound": 3, "verifies": "all-pairs",
+            "solution": [1, 2, 4],
         }
     },
 }
@@ -112,10 +109,9 @@ def test_solve_report_record(tmp_path, inputs, method):
     argv = ["solve", "--graph", inputs["graph"]["path"],
             "--coloring", inputs["coloring"]["path"], "--method", method]
     _same(_run(tmp_path, argv), {
-        "format": "rbsep-report/1",
+        "format": FORMAT,
         "inputs": inputs,
         "results": {method: SOLVE[method]},
-        "bound_checks": [],
     })
 
 
@@ -123,10 +119,9 @@ def test_solve_report_record(tmp_path, inputs, method):
 def test_maxsep_report_record(tmp_path, inputs, mode):
     argv = ["maxsep", "--graph", inputs["graph"]["path"], "--mode", mode]
     _same(_run(tmp_path, argv), {
-        "format": "rbsep-report/1",
+        "format": FORMAT,
         "inputs": {"graph": inputs["graph"]},
         "results": MAXSEP[mode],
-        "bound_checks": [],
     })
 
 
@@ -147,10 +142,9 @@ def test_bounds_report_record(tmp_path, inputs, extra):
         ]
     argv = ["bounds", "--graph", inputs["graph"]["path"], *extra]
     _same(_run(tmp_path, argv), {
-        "format": "rbsep-report/1",
+        "format": FORMAT,
         "inputs": {"graph": inputs["graph"]},
-        "results": {"parameters": parameters},
-        "bound_checks": checks,
+        "results": {"bounds": {**parameters, "checks": checks}},
     })
 
 
@@ -195,10 +189,11 @@ def test_verify_report_rechecks_every_bound(tmp_path, inputs, capsys):
     claims = ["digest:graph", "parameters", *(f"bound:{name}" for name in CHECK_NAMES)]
     assert capsys.readouterr().out == "".join(f"recheck {claim} ok\n" for claim in claims)
     data = json.loads(out.read_text())
-    checks, parameters = data["bound_checks"], data["results"]["parameters"]
+    bounds = data["results"]["bounds"]
+    checks = bounds["checks"]
     edits = [(c, key, c[key] + d) for c in checks for key in ("lhs", "rhs") for d in (1, -1)]
     edits += [(c, "holds", not c["holds"]) for c in checks]
-    edits += [(parameters, key, v + d) for key, v in parameters.items() for d in (1, -1)]
+    edits += [(bounds, key, v + d) for key, v in bounds.items() if key != "checks" for d in (1, -1)]
     assert len(edits) == 52
     for where, key, value in edits:
         kept, where[key] = where[key], value
@@ -206,24 +201,87 @@ def test_verify_report_rechecks_every_bound(tmp_path, inputs, capsys):
         assert main(["verify", "--report", str(out)]) == 1, (where, key, value)
         where[key] = kept
     for edited in (checks[:-1], checks + checks[-1:]):
-        out.write_text(json.dumps({**data, "bound_checks": edited}))
+        out.write_text(json.dumps({**data, "results": {"bounds": {**bounds, "checks": edited}}}))
         assert main(["verify", "--report", str(out)]) == 1
     assert "recheck bound:tree_maxsep_le_two_thirds_n FAIL\n" in capsys.readouterr().out
 
 
-def test_verify_report_rechecks_bound_checks_without_parameters(tmp_path, inputs, capsys):
-    # Claimed bound checks are rechecked even when the parameters they rest
-    # on are missing: the missing parameters fail as an empty claim.
+@pytest.mark.parametrize("edit, code", [
+    (lambda results: results["bounds"].pop("sep"), 1),
+    (lambda results: results.update(bounds=[1, 2]), 2),
+], ids=["no-sep", "record-a-list"])
+def test_verify_bounds_report_without_a_field_or_not_an_object(tmp_path, inputs, capsys, edit, code):
+    # A deleted sep leaves the record claiming less than the graph gives,
+    # a false claim (exit 1); a record that is not an object is malformed (exit 2).
     out = tmp_path / "report.json"
     assert main(["bounds", "--graph", inputs["graph"]["path"], "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    del data["results"]["parameters"]
+    edit(data["results"])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == code
+    if code == 1:
+        assert "recheck parameters FAIL\n" in capsys.readouterr().out
+
+
+# False reports made from spider:k=2 that the recheck once passed, each with
+# the failing recheck line: a claim kind named by a field beside the key, and
+# a claim kept after the evidence for it was deleted.
+PROBES = {
+    # {0, 1, 2, 4, 6, 9} dominates the spider but leaves the pair (4, 5) unsplit.
+    "dominating-witness": (
+        ["solve", "--method", "exact"], "exact", "witness:exact",
+        lambda r: r.update(witness=[0, 1, 2, 4, 6, 9], verifies="dominating"),
+    ),
+    "no-witness": (
+        ["solve", "--method", "exact"], "exact", "witness:exact",
+        lambda r: (r.pop("witness"), r.update(optimum=1)),
+    ),
+    "no-worst-coloring": (
+        ["maxsep", "--mode", "exact"], "maxsep-exact", "value:maxsep-exact",
+        lambda r: (r.pop("worst_coloring"), r.update(value=99)),
+    ),
+    "no-solution": (
+        ["maxsep", "--mode", "approx"], "maxsep-approx", "witness:maxsep-approx",
+        lambda r: (r.pop("solution"), r.pop("optimum_lower_bound"), r.update(upper_bound=1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", list(PROBES))
+def test_verify_report_holds_each_key_to_its_claim(tmp_path, capsys, probe):
+    argv, key, claim, edit = PROBES[probe]
+    g, c = build_from_spec(GeneratorSpec.parse("spider:k=2"))
+    gpath, cpath, out = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "report.json"
+    write_graph(gpath, g)
+    write_coloring(cpath, c)
+    paths = ["--graph", str(gpath)] + (["--coloring", str(cpath)] if argv[0] == "solve" else [])
+    assert main([*argv, *paths, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    edit(data["results"][key])
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["recheck digest:graph ok", "recheck parameters FAIL"]
-    assert len(lines) == 2 + len(CHECK_NAMES)
+    assert f"recheck {claim} FAIL\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["results"].update(bad=data["results"]["exact"]), "unknown report result 'bad'"),
+    (lambda data: data.update(format="rbsep-report/1"), "unsupported report format 'rbsep-report/1'"),
+], ids=["unknown-key", "old-format"])
+def test_verify_report_rejects_an_unknown_key_or_format(tmp_path, inputs, capsys, edit, message):
+    # The key decides what a record claims, and the format how reports are
+    # rechecked: a key or a format the recheck does not know is malformed input.
+    out = tmp_path / "report.json"
+    argv = ["solve", "--graph", inputs["graph"]["path"],
+            "--coloring", inputs["coloring"]["path"], "--method", "exact", "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    edit(data)
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_report_written_with_relative_paths_rechecks_from_elsewhere(tmp_path, monkeypatch, capsys):
