@@ -12,9 +12,10 @@ maxsep_RB(G) also maxsep within O(ln^2 n).
 ``rbsep reduce``.
 
 The constructions give cardinality guarantees (3 or Delta times the smaller
-color class) on triangle-free and bounded-degree graphs.
-``xp_exact_small_class`` runs the matching construction and takes its
-guarantee as the search budget of the exact kernel (``sep_rb_exact``).
+color class) on triangle-free and bounded-degree graphs, which
+``xp_exact_small_class`` takes as the budget of the exact kernel
+(``sep_rb_exact``). Every route leaves through ``_report``, which certifies
+its set with ``claim_violation``, as ``rbsep verify --report`` does.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .graphs import (
     require_coloring,
     require_rb_separable,
     require_twin_free,
-    verify_rb_separating,
-    verify_separating,
+    violation,
 )
 from .hitting import columns, greedy_hitting_set
 
@@ -50,6 +50,7 @@ __all__ = [
     "bounded_degree_construct",
     "xp_exact_small_class",
     "set_system_to_text",
+    "claim_violation",
     "guarantee",
     "optimum_lower_bound",
 ]
@@ -75,13 +76,12 @@ class SetSystem(NamedTuple("SetSystem", [("universe_size", int), ("element_label
 
 
 class ApproxReport(NamedTuple):
-    """Solution with its claimed guarantee.
+    """Sorted solution, certified by ``claim_violation``, with its guarantee.
 
-    ``guarantee`` is the approximation factor for the greedy routes and the
-    claimed cardinality bound for the constructive routes.
-    ``optimum_lower_bound`` is what the function of that name gives: greedy
-    accounting (coverage counting plus the factor itself) for the greedy
-    routes, 0 or 1 for the constructions.
+    ``guarantee`` is the greedy routes' approximation factor and the size
+    bound a construction's solution fits. ``optimum_lower_bound`` is what the
+    function of that name gives: greedy accounting (coverage counting plus
+    the factor itself) for the greedy routes, 0 or 1 for the constructions.
     """
 
     solution: tuple[int, ...]
@@ -118,8 +118,7 @@ def split_pairs(x: int, n: int) -> int:
     mask in ``exact.all_pairs_difference_masks``. With ``x`` = N[v] these
     are the pairs v separates; with the red mask, the red-blue pairs.
     """
-    out = 0
-    offset = 0
+    out = offset = 0
     for u in range(n - 1):
         row = n - 1 - u
         other = ~x if x >> u & 1 else x
@@ -196,14 +195,35 @@ def optimum_lower_bound(method: str, g: Graph, c: Coloring | None, size: int) ->
     return _cover_bound(pairs, most, size)
 
 
+# The ``graphs.violation`` kind of each result key whose record holds a set.
+CLAIM_KINDS = {**dict.fromkeys(("exact", "xp", "greedy", "triangle-free", "bounded-degree"), "rb"),
+               "maxsep-approx": "all-pairs"}
+
+
+def claim_violation(key: str, g: Graph, c: Coloring | None, s) -> object:
+    """The violation of result ``key``'s claim that s is its kind of set, and
+    for a construction that |s| fits its ``guarantee``; None if s holds."""
+    found = violation(g, CLAIM_KINDS[key], s, c)
+    if found is None and key in ("triangle-free", "bounded-degree") and len(s) > guarantee(key, g, c):
+        return f"{len(s)} vertices exceed the guarantee"
+    return found
+
+
+def _report(method: str, g: Graph, c: Coloring | None, chosen) -> ApproxReport:
+    # The one exit of the polynomial routes: sort, certify, report.
+    solution = tuple(sorted(chosen))
+    certify(claim_violation(method, g, c, solution))
+    return ApproxReport(solution, guarantee(method, g, c), optimum_lower_bound(method, g, c, len(solution)))
+
+
+def _greedy(g: Graph, universe: int) -> list[int]:
+    return greedy_hitting_set([split_pairs(nv, g.n) for nv in g.closed], universe)
+
+
 def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
     """Greedy red-blue separating set with factor at most max(1, 2 ln n)."""
     require_rb_separable(g, c)
-    cols = [split_pairs(nv, g.n) for nv in g.closed]
-    solution = tuple(sorted(greedy_hitting_set(cols, split_pairs(c.red_mask, g.n))))
-    certify(verify_rb_separating(g, c, solution))
-    lower = optimum_lower_bound("greedy", g, c, len(solution))
-    return ApproxReport(solution, guarantee("greedy", g), lower)
+    return _report("greedy", g, c, _greedy(g, split_pairs(c.red_mask, g.n)))
 
 
 def all_pairs_set_system(g: Graph) -> SetSystem:
@@ -222,12 +242,7 @@ def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
     maxsep_RB within (2 ln n + 1) * ceil(log2 n), the factor recorded here.
     """
     require_twin_free(g)
-    n = g.n
-    cols = [split_pairs(nv, n) for nv in g.closed]
-    solution = tuple(sorted(greedy_hitting_set(cols, (1 << n * (n - 1) // 2) - 1)))
-    certify(verify_separating(g, solution))
-    lower = optimum_lower_bound("maxsep-approx", g, None, len(solution))
-    return ApproxReport(solution, guarantee("maxsep-approx", g), lower)
+    return _report("maxsep-approx", g, None, _greedy(g, (1 << g.n * (g.n - 1) // 2) - 1))
 
 
 def _oriented(c: Coloring) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -260,15 +275,9 @@ def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
         nbrs = g.neighbors(v)
         if len(nbrs) >= 2:
             chosen.update(nbrs[:2])
-        elif len(nbrs) == 1:
-            w = nbrs[0]
-            if w not in small_set:
-                others = [x for x in g.neighbors(w) if x != v]
-                chosen.add(others[0])
-    solution = tuple(sorted(chosen))
-    certify(verify_rb_separating(g, c, solution))
-    lower = optimum_lower_bound("triangle-free", g, c, len(solution))
-    return ApproxReport(solution, guarantee("triangle-free", g, c), lower)
+        elif len(nbrs) == 1 and nbrs[0] not in small_set:
+            chosen.add(next(x for x in g.neighbors(nbrs[0]) if x != v))
+    return _report("triangle-free", g, c, chosen)
 
 
 def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
@@ -322,11 +331,7 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
             chosen.update(kit)
         else:
             chosen.update(g.neighbors(v))
-
-    solution = tuple(sorted(chosen))
-    certify(verify_rb_separating(g, c, solution))
-    lower = optimum_lower_bound("bounded-degree", g, c, len(solution))
-    return ApproxReport(solution, guarantee("bounded-degree", g, c), lower)
+    return _report("bounded-degree", g, c, chosen)
 
 
 def xp_exact_small_class(g: Graph, c: Coloring) -> SolveReport:
@@ -335,7 +340,7 @@ def xp_exact_small_class(g: Graph, c: Coloring) -> SolveReport:
     The budget is the guarantee of ``triangle_free_construct`` on
     triangle-free graphs and of ``bounded_degree_construct`` otherwise (3 or
     Delta times the smaller class); each construction checks its own
-    preconditions and certifies a solution of that size, so ``sep_rb_exact``
+    preconditions and certifies a solution within that size, so ``sep_rb_exact``
     under that budget returns the optimum after O(n^bound) nodes. Raises
     CertificationError if no solution fits the bound.
     """

@@ -524,6 +524,15 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+# The parameters each family's spec may set, each at most once.
+SPEC_PARAMS = {
+    **dict.fromkeys(("power-set", "half-complement", "spider"), ("k",)),
+    "multipartite": ("parts", "strict"),
+    "random": ("n", "p", "seed"),
+    "tree": ("n", "seed"),
+}
+
+
 def _require_size(spec: GeneratorSpec, order: int, edges: int = 0) -> None:
     if order > MAX_GRAPH_ORDER:
         raise ValueError(f"spec {spec.render()!r} gives a graph order above {MAX_GRAPH_ORDER}")
@@ -539,9 +548,19 @@ def build_from_spec(spec: GeneratorSpec) -> tuple[Graph, Coloring | None]:
     ``io.MAX_GRAPH_ORDER``, or when its edge count worked out from the
     parameters exceeds ``MAX_SPEC_EDGES``: n(n - 1)/2 for power-set,
     half-complement and random (which draws every pair), (n^2 - sum p^2)/2
-    for multipartite; spiders and trees have n - 1 edges.
+    for multipartite; spiders and trees have n - 1 edges. Also raises
+    ValueError on an unknown family, a parameter the family does not read, a
+    repeated parameter, and a ``strict`` other than 0 or 1.
     """
     fam = spec.family
+    if fam not in SPEC_PARAMS:
+        raise ValueError(f"unknown generator family {fam!r}")
+    keys = [key for key, _ in spec.params]
+    for key in keys:
+        if key not in SPEC_PARAMS[fam]:
+            raise ValueError(f"generator family {fam!r} has no parameter {key!r}")
+        if keys.count(key) > 1:
+            raise ValueError(f"parameter {key!r} repeated in spec {spec.render()!r}")
     if fam == "power-set":
         k = int(spec.get("k", "1"))
         # Capping k keeps a huge k from building its huge 2^k.
@@ -561,15 +580,15 @@ def build_from_spec(spec: GeneratorSpec) -> tuple[Graph, Coloring | None]:
         parts = [int(x) for x in str(spec.get("parts", "")).split("+") if x]
         n = sum(parts)
         _require_size(spec, n, (n * n - sum(p * p for p in parts)) // 2)
-        strict = spec.get("strict", "0") == "1"
-        return gen_complete_multipartite(parts, strict=strict)
+        strict = spec.get("strict", "0")
+        if strict not in ("0", "1"):
+            raise ValueError(f"multipartite parameter 'strict' must be 0 or 1, not {strict!r}")
+        return gen_complete_multipartite(parts, strict=strict == "1")
     if fam == "random":
         n = int(spec.get("n", "8"))
         _require_size(spec, n, pair_count(n))
         g = gen_random_twin_free(n, float(spec.get("p", "0.4")), int(spec.get("seed", "0")))
         return g, None
-    if fam == "tree":
-        n = int(spec.get("n", "8"))
-        _require_size(spec, n)
-        return gen_random_tree(n, int(spec.get("seed", "0"))), None
-    raise ValueError(f"unknown generator family {fam!r}")
+    n = int(spec.get("n", "8"))  # the last family: tree
+    _require_size(spec, n)
+    return gen_random_tree(n, int(spec.get("seed", "0"))), None

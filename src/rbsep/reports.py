@@ -1,19 +1,20 @@
 """Report records and their on-disk JSON form.
 
-A run report (``rbsep-report/2``) carries the command echo, the absolute path and
-sha256 digest of each input, and one record per result key: the result's
+A run report (``rbsep-report/2``) carries the command echo, the absolute path
+and sha256 digest of each input, and one record per result key: the result's
 ``NamedTuple`` fields by name (``record``), with ``lower_bound`` added under
-maxsep-approx and ``checks`` nested under ``bounds``. The key alone decides
-the claim: ``SET_CLAIMS`` maps each key whose record holds a set to the
-set's field and claim kind, and ``maxsep-exact`` and ``bounds`` are the only
-other keys. ``reverify_run_report`` reads each input once and checks every
-key's claim again, failing it when its evidence is missing: each set against
-the verifiers, and its record's sizes, ``guarantee`` and ``optimum_lower_bound``
-against its size, ``approx`` and ``bounds.maxsep_lower_bound``; that a worst
-coloring is an R/B string of the graph's order whose exact optimum is the
-claimed ``value``, and that ``per_coloring_count`` is 2^(n-1); that a
-``bounds`` record's n, max_degree and support_count are the graph's, and its
-checks what the ``bounds`` inequalities give on them and its sep, maxsep and gamma.
+maxsep-approx and ``checks`` nested under ``bounds``. The key alone decides the
+claim: ``SET_CLAIMS`` maps each key whose record holds a set to the set's
+field, and ``maxsep-exact`` and ``bounds`` are the only other keys.
+``reverify_run_report`` reads each input once and checks every key's claim
+again, failing it when its evidence is missing: each set with the solvers' own
+``approx.claim_violation``, and its record's sizes, ``guarantee`` and
+``optimum_lower_bound`` against its size, ``approx`` and
+``bounds.maxsep_lower_bound``; that a worst coloring is an R/B string of the
+graph's order whose exact optimum is the claimed ``value``, and that
+``per_coloring_count`` is 2^(n-1); that a ``bounds`` record's n, max_degree and
+support_count are the graph's, and its checks what the ``bounds`` inequalities
+give on them and its sep, maxsep and gamma.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Any
 
-from .approx import guarantee, optimum_lower_bound
+from .approx import CLAIM_KINDS, claim_violation, guarantee, optimum_lower_bound
 from .bounds import BoundsReport, bound_checks, maxsep_lower_bound, tree_support_count
 from .errors import RBSepError
 from .exact import sep_rb_exact
-from .graphs import BLUE, RED, Coloring, violation
+from .graphs import BLUE, RED, Coloring
 from .io import coloring_from_text, graph_from_text
 
 __all__ = [
@@ -42,12 +43,8 @@ __all__ = [
 
 FORMAT = "rbsep-report/2"
 
-# The keys whose record holds a set: the field holding it and its claim kind.
-SET_CLAIMS = {
-    **dict.fromkeys(("exact", "xp"), ("witness", "rb")),
-    **dict.fromkeys(("greedy", "triangle-free", "bounded-degree"), ("solution", "rb")),
-    "maxsep-approx": ("solution", "all-pairs"),
-}
+# The keys whose record holds a set, and the field holding it.
+SET_CLAIMS = {key: "witness" if key in ("exact", "xp") else "solution" for key in CLAIM_KINDS}
 
 
 def file_digest(path: str | Path) -> str:
@@ -122,6 +119,8 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
         for key in ("sep", "maxsep", "support_count"):
             if record.get(key) is not None and type(record[key]) is not int:
                 raise ValueError(f"report result {name!r} field {key!r} must be an integer or null")
+        if type(record.get("guarantee", 0)) not in (int, float):
+            raise ValueError(f"report result {name!r} field 'guarantee' must be a number")
         if name not in SET_CLAIMS and name not in ("maxsep-exact", "bounds"):
             raise ValueError(f"unknown report result {name!r}")
     return data
@@ -170,14 +169,13 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             outcomes.append((f"lower:{key}", want is not None and record["optimum_lower_bound"] == want))
         if key not in SET_CLAIMS:
             continue
-        field, kind = SET_CLAIMS[key]
-        witness = record.get(field)
+        witness = record.get(SET_CLAIMS[key])
         # An optimum is the set's size; a lower bound is at most it, and a
         # maxsep lower bound at most the proven one.
         ok = (
             graph is not None and witness is not None
             and all(0 <= v < graph.n for v in witness)
-            and violation(graph, kind, witness, coloring) is None
+            and claim_violation(key, graph, coloring, witness) is None
             and record.get("optimum", len(witness)) == len(witness)
             and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= len(witness)
             and record.get("lower_bound", 0) <= maxsep_lower_bound(graph.n)

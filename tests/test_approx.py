@@ -21,6 +21,7 @@ from rbsep.bounds import check_bounds
 from rbsep.approx import (
     SetSystem,
     bounded_degree_construct,
+    claim_violation,
     greedy_set_cover,
     reduce_rb_to_set_cover,
     sep_all_pairs_greedy,
@@ -34,11 +35,17 @@ from rbsep.errors import (
     CertificationError,
     NotTriangleFree,
     NotTwinFree,
+    TwinFreeUnreachable,
     Uncoverable,
     Unseparable,
 )
 from rbsep.exact import all_pairs_difference_masks, sep_rb_exact
-from rbsep.generators import gen_half_graph_complement, gen_random_twin_free
+from rbsep.generators import (
+    gen_half_graph_complement,
+    gen_random_tree,
+    gen_random_twin_free,
+    gen_spider,
+)
 from rbsep.graphs import (
     Coloring,
     Graph,
@@ -437,3 +444,77 @@ def test_xp_witness_is_certified(monkeypatch):
     monkeypatch.setattr("rbsep.exact.rb_difference_masks", lambda g, c: [])
     with pytest.raises(CertificationError):
         xp_exact_small_class(path_graph(6), Coloring.from_string("RBBBBB"))
+
+
+# Each route with its result key and whether it reads the coloring.
+ROUTES = (
+    (sep_rb_greedy, "greedy", True),
+    (sep_all_pairs_greedy, "maxsep-approx", False),
+    (triangle_free_construct, "triangle-free", True),
+    (bounded_degree_construct, "bounded-degree", True),
+)
+
+
+def test_claim_violation_passes_each_routes_own_answer():
+    # G(n, 0.3) and random trees with random colorings: whatever a route
+    # returns holds its key's claim, guarantee included.
+    answers = 0
+    for n in range(2, 17):
+        for seed in range(4):
+            rng = random.Random(100 * n + seed)
+            c = Coloring(n, rng.getrandbits(n))
+            graphs = [gen_random_tree(n, seed)]
+            try:
+                graphs.append(gen_random_twin_free(n, 0.3, seed))
+            except TwinFreeUnreachable:
+                pass
+            for g in graphs:
+                for route, key, colored in ROUTES:
+                    try:
+                        rep = route(g, c) if colored else route(g)
+                    except (NotTriangleFree, NotTwinFree, Unseparable, ValueError):
+                        continue
+                    assert claim_violation(key, g, c if colored else None, rep.solution) is None
+                    answers += 1
+    assert answers > 300
+
+
+@pytest.mark.parametrize("key", ["triangle-free", "bounded-degree"])
+def test_claim_violation_fails_a_valid_set_above_the_guarantee(key):
+    # P10 with one red vertex (guarantee 3) and spider:k=3 with one red
+    # vertex (Delta = 3, guarantee 3): every valid set past 3 vertices fails.
+    if key == "triangle-free":
+        g, c, s = path_graph(10), Coloring.from_string("BBBBRBBBBB"), range(1, 8)
+    else:
+        g, c, s = gen_spider(3)[0], Coloring.from_red(16, [0]), range(16)
+    assert verify_rb_separating(g, c, s) is None
+    assert claim_violation(key, g, c, list(s)) is not None
+    small = (triangle_free_construct if key == "triangle-free" else bounded_degree_construct)(g, c).solution
+    assert len(small) == 3 and claim_violation(key, g, c, small) is None
+
+
+@pytest.mark.parametrize("key, s, pair", [
+    *((key, [0], (2, 3)) for key in ("exact", "xp", "greedy", "triangle-free", "bounded-degree")),
+    ("maxsep-approx", [1, 3], (0, 1)),
+])
+def test_claim_violation_fails_a_set_that_does_not_separate(key, s, pair):
+    # On P5 with vertex 2 red, {0} leaves red 2 and blue 3 the same empty
+    # code; under {1, 3} vertices 0 and 1 share the code {1}.
+    assert claim_violation(key, path_graph(5), Coloring.from_red(5, [2]), s) == pair
+
+
+@pytest.mark.parametrize("route, key, colored", ROUTES, ids=[key for _, key, _ in ROUTES])
+def test_each_route_certifies_through_claim_violation(monkeypatch, route, key, colored):
+    # The routes' one exit certifies with the same check the recheck uses.
+    seen = []
+
+    def refuse(*args):
+        seen.append(args[0])
+        return "refused"
+
+    monkeypatch.setattr("rbsep.approx.claim_violation", refuse)
+    g = gen_spider(3)[0]
+    c = Coloring.from_red(g.n, [0])
+    with pytest.raises(CertificationError, match="refused"):
+        route(g, c) if colored else route(g)
+    assert seen == [key]

@@ -339,6 +339,9 @@ def test_verify_malformed_report_exits_input(tmp_path, capsys, data, field):
         # A result record that is not an object.
         ([1, 2, 3], "must be an object"),
         ([1, 2], "must be an object"),
+        # A guarantee is a number, not a string or a bool.
+        ({"solution": [0], "guarantee": "2.0"}, "'guarantee'"),
+        ({"solution": [0], "guarantee": True}, "'guarantee'"),
     ],
 )
 def test_verify_report_with_malformed_result_exits_input(tmp_path, capsys, record, field):
@@ -460,6 +463,19 @@ def test_generate_rejects_oversized_order(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert main(["generate", "--spec", "tree:n=10001", "--out-prefix", prefix]) == 2
     assert "graph order above" in capsys.readouterr().err
+    assert not (tmp_path / "inst.graph.txt").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("random:n=6,prob=0.9,seed=1", "generator family 'random' has no parameter 'prob'"),
+    ("spider:k=2,k=3", "parameter 'k' repeated in spec 'spider:k=2,k=3'"),
+    ("multipartite:parts=5+5,strict=yes", "multipartite parameter 'strict' must be 0 or 1, not 'yes'"),
+], ids=["unknown", "repeated", "strict"])
+def test_generate_rejects_a_parameter_its_family_does_not_read(tmp_path, capsys, spec, message):
+    # Each spec once built a graph that ignored the parameter it names.
+    prefix = str(tmp_path / "inst")
+    assert main(["generate", "--spec", spec, "--out-prefix", prefix]) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
     assert not (tmp_path / "inst.graph.txt").exists()
 
 

@@ -265,6 +265,56 @@ def test_verify_report_holds_each_key_to_its_claim(tmp_path, capsys, probe):
     assert f"recheck {claim} FAIL\n" in capsys.readouterr().out
 
 
+# Valid separating sets larger than a construction's guarantee, which the
+# recheck once passed: P10 colored BBBBRBBBBB (guarantee 3) with {1, ..., 7},
+# and spider:k=3 with one red vertex (Delta = 3, guarantee 3) with all 16 vertices.
+OVERSIZED = {
+    "triangle-free": ("10 9\n" + "".join(f"{i} {i + 1}\n" for i in range(9)), "BBBBRBBBBB", range(1, 8)),
+    "bounded-degree": (None, "R" + "B" * 15, range(16)),
+}
+
+
+@pytest.mark.parametrize("method", list(OVERSIZED))
+def test_verify_report_holds_a_construction_to_its_guarantee(tmp_path, capsys, method):
+    graph, coloring, solution = OVERSIZED[method]
+    gpath, cpath, out = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "report.json"
+    if graph is None:
+        write_graph(gpath, build_from_spec(GeneratorSpec.parse("spider:k=3"))[0])
+    else:
+        gpath.write_text(graph)
+    cpath.write_text(coloring + "\n")
+    argv = ["solve", "--method", method, "--graph", str(gpath), "--coloring", str(cpath)]
+    assert main([*argv, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    record = data["results"][method]
+    assert record["guarantee"] == 3.0 and len(record["solution"]) <= 3
+    record["solution"] = list(solution)
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert f"recheck witness:{method} FAIL\n" in printed
+    assert f"recheck guarantee:{method} ok\n" in printed
+
+
+@pytest.mark.parametrize("argv", [
+    *(["solve", "--method", method] for method in SOLVE),
+    ["maxsep", "--mode", "approx"],
+], ids=[*SOLVE, "maxsep-approx"])
+def test_untouched_report_rechecks_with_only_ok_lines(tmp_path, inputs, capsys, argv):
+    out = tmp_path / "report.json"
+    paths = ["--graph", inputs["graph"]["path"]]
+    if argv[0] == "solve":
+        paths += ["--coloring", inputs["coloring"]["path"]]
+    assert main([*argv, *paths, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    key = argv[-1] if argv[0] == "solve" else "maxsep-approx"
+    assert f"recheck witness:{key} ok" in lines
+    assert all(line.startswith("recheck ") and line.endswith(" ok") for line in lines)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda data: data["results"].update(bad=data["results"]["exact"]), "unknown report result 'bad'"),
     (lambda data: data.update(format="rbsep-report/1"), "unsupported report format 'rbsep-report/1'"),
