@@ -14,8 +14,11 @@ maxsep_RB(G) also maxsep within O(ln^2 n).
 The constructions give cardinality guarantees (3 or Delta times the smaller
 color class) on triangle-free and bounded-degree graphs, which
 ``xp_exact_small_class`` takes as the budget of the exact kernel
-(``sep_rb_exact``). Every route leaves through ``_report``, which certifies
-its set with ``claim_violation``, as ``rbsep verify --report`` does.
+(``sep_rb_exact``). The constructions build their sets as vertex bitmasks,
+and the greedy routes pack theirs into one. Every route leaves through
+``_report``, which takes that mask, certifies its sorted vertices with
+``claim_violation`` (a construction's size against its guarantee too), as
+``rbsep verify --report`` does.
 """
 
 from __future__ import annotations
@@ -209,15 +212,16 @@ def claim_violation(key: str, g: Graph, c: Coloring | None, s) -> object:
     return found
 
 
-def _report(method: str, g: Graph, c: Coloring | None, chosen) -> ApproxReport:
-    # The one exit of the polynomial routes: sort, certify, report.
-    solution = tuple(sorted(chosen))
+def _report(method: str, g: Graph, c: Coloring | None, chosen: int) -> ApproxReport:
+    # The one exit of the polynomial routes: the chosen vertex mask as a
+    # sorted tuple, certified against ``method``'s claim, then reported.
+    solution = bits_of(chosen)
     certify(claim_violation(method, g, c, solution))
     return ApproxReport(solution, guarantee(method, g, c), optimum_lower_bound(method, g, c, len(solution)))
 
 
-def _greedy(g: Graph, universe: int) -> list[int]:
-    return greedy_hitting_set([split_pairs(nv, g.n) for nv in g.closed], universe)
+def _greedy(g: Graph, universe: int) -> int:
+    return mask_of(greedy_hitting_set([split_pairs(nv, g.n) for nv in g.closed], universe))
 
 
 def sep_rb_greedy(g: Graph, c: Coloring) -> ApproxReport:
@@ -245,13 +249,10 @@ def sep_all_pairs_greedy(g: Graph) -> ApproxReport:
     return _report("maxsep-approx", g, None, _greedy(g, (1 << g.n * (g.n - 1) // 2) - 1))
 
 
-def _oriented(c: Coloring) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Work on the smaller class; ties keep red as the driver.
-    reds = c.red_vertices()
-    blues = c.blue_vertices()
-    if len(blues) < len(reds):
-        return blues, reds
-    return reds, blues
+def _oriented(c: Coloring) -> tuple[int, int]:
+    # The smaller class, then the other, as masks; ties keep red as the driver.
+    blue = c.swapped().red_mask
+    return (blue, c.red_mask) if c.blue_count < c.red_count else (c.red_mask, blue)
 
 
 def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
@@ -269,14 +270,14 @@ def triangle_free_construct(g: Graph, c: Coloring) -> ApproxReport:
     require_coloring(g, c)
 
     small, _ = _oriented(c)
-    chosen = set(small)
-    small_set = frozenset(small)
-    for v in small:
+    chosen = small
+    for v in bits_of(small):
         nbrs = g.neighbors(v)
         if len(nbrs) >= 2:
-            chosen.update(nbrs[:2])
-        elif len(nbrs) == 1 and nbrs[0] not in small_set:
-            chosen.add(next(x for x in g.neighbors(nbrs[0]) if x != v))
+            chosen |= mask_of(nbrs[:2])
+        elif len(nbrs) == 1 and not small >> nbrs[0] & 1:
+            others = g.adj[nbrs[0]] & ~(1 << v)
+            chosen |= others & -others
     return _report("triangle-free", g, c, chosen)
 
 
@@ -298,39 +299,35 @@ def bounded_degree_construct(g: Graph, c: Coloring) -> ApproxReport:
         raise ValueError("construction requires profile flag max_degree >= 3")
 
     small, big = _oriented(c)
-    big_set = frozenset(big)
+    bigs = bits_of(big)
     closed = g.closed
-    chosen: set[int] = set()
+    chosen = 0
 
-    def with_neighbor_hits(v: int, seed: set[int]) -> set[int]:
+    def with_neighbor_hits(v: int, kit: int) -> int:
         # Add a lowest-index separator for each opposite neighbor whose
         # difference mask is not hit yet (v itself covers non-neighbors).
-        kit = set(seed)
-        for b in g.neighbors(v):
-            if b not in big_set:
-                continue
+        for b in bits_of(g.adj[v] & big):
             d = closed[v] ^ closed[b]
-            hit = mask_of(kit) | mask_of(chosen)
-            if not d & hit:
-                kit.add(bits_of(d)[0])
+            if not d & (kit | chosen):
+                kit |= d & -d
         return kit
 
-    for v in small:
-        dominators = [w for w in big if g.adj[v] & ~closed[w] == 0]
-        if dominators:
-            w = dominators[0]
-            seed = {v, w}
+    for v in bits_of(small):
+        w = next((w for w in bigs if not g.adj[v] & ~closed[w]), None)
+        if w is not None:
+            seed = 1 << v | 1 << w
             if g.adj[v] >> w & 1:
-                seed.add(bits_of(closed[v] ^ closed[w])[0])
+                d = closed[v] ^ closed[w]
+                seed |= d & -d
             kit = with_neighbor_hits(v, seed)
             if kit != seed:
                 # The shortcut missed a neighbor pair; it only ever does so
                 # for an adjacent dominator, which forces deg(v) < Delta, so
                 # the direct kit {v} + one hit per neighbor stays in budget.
-                kit = with_neighbor_hits(v, {v})
-            chosen.update(kit)
+                kit = with_neighbor_hits(v, 1 << v)
+            chosen |= kit
         else:
-            chosen.update(g.neighbors(v))
+            chosen |= g.adj[v]
     return _report("bounded-degree", g, c, chosen)
 
 

@@ -287,20 +287,20 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def cap(text: str) -> int:
-    """A ``--cap`` or ``--sep-cap`` value: a vertex count, so at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"a cap is a graph order >= 0, not {value}")
-    return value
+def _at_least_zero(name: str, what: str):
+    # The argparse type of a ``name`` option, ``what`` and so at least 0.
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"a {name} is {what} >= 0, not {value}")
+        return value
+
+    parse.__name__ = name  # argparse's "invalid cap value: 'x'" reads it
+    return parse
 
 
-def budget(text: str) -> int:
-    """A ``--budget`` value: a set size, so at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"a budget is a set size >= 0, not {value}")
-    return value
+cap = _at_least_zero("cap", "a graph order")  # --cap and --sep-cap: vertex counts
+budget = _at_least_zero("budget", "a set size")  # --budget
 
 
 @cache

@@ -301,8 +301,9 @@ def bondy_remove(family: Sequence[Iterable[int]]) -> int:
     """Element whose removal keeps n distinct subsets of an n-set distinct.
 
     The ground set is 0..n-1 with n = len(family). An element x is removable
-    exactly when no two sets differ only in x; such an element always exists
-    for distinct sets (Bondy's theorem). Returns the smallest removable x.
+    exactly when the n sets stay distinct without it, which is how each x is
+    tested; such an element always exists for distinct sets (Bondy's
+    theorem). Returns the smallest removable x.
     Applied to the closed neighborhoods of a twin-free graph, the complement
     of {x} certifies sep(G) <= n - 1.
     """
@@ -310,13 +311,7 @@ def bondy_remove(family: Sequence[Iterable[int]]) -> int:
     n = len(masks)
     if len(set(masks)) != n:
         raise NoDistinctFamily("family members are not pairwise distinct")
-    bad = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = masks[i] ^ masks[j]
-            if d.bit_count() == 1:
-                bad |= d
     for x in range(n):
-        if not bad >> x & 1:
+        if len({m & ~(1 << x) for m in masks}) == n:
             return x
     raise NoDistinctFamily("no removable element found")  # unreachable for valid input

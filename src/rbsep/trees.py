@@ -21,8 +21,12 @@ The constructions implemented here:
 
 Together the last two give maxsep_RB(T) <= min(n - s, (n + s)/2) <= 2n/3.
 The prose around the (n + s)/2 construction is ambiguous in places; the
-implementation follows the construction steps and every emitted set is
-checked by the verifiers before being returned.
+implementation follows the construction steps. Every set is built as a
+vertex bitmask and leaves through one exit, ``_certified``, which checks it
+with the verifier of its claim and against the size its construction
+promises (at most 2, at most (n + s)/2, the star path included) before
+returning it as a sorted tuple; ``tree_all_pairs_construct`` also checks
+its size is exactly n - s.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .graphs import (
     bits_of,
     certify,
     is_tree,
+    mask_of,
     require_coloring,
     verify_rb_separating,
     verify_separating,
@@ -106,6 +111,19 @@ def tree_profile(t: Graph) -> TreeProfile:
     return TreeProfile(t.n, leaves, tuple(sorted(leaves_of)), leaves_of)
 
 
+def _certified(
+    t: Graph, mask: int, c: Coloring | None = None, most: int | None = None
+) -> tuple[int, ...]:
+    # The one exit of the constructions: the set as a sorted tuple, certified
+    # red-blue separating under c (all-pairs separating without c) and, when
+    # the construction promises a size, of at most ``most`` vertices.
+    out = bits_of(mask)
+    certify(verify_separating(t, out) if c is None else verify_rb_separating(t, c, out))
+    too_many = most is not None and len(out) > most
+    certify(f"{len(out)} vertices exceed the promised {most}" if too_many else None)
+    return out
+
+
 def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
     """Set of size <= 2 separating a single minority vertex from the rest.
 
@@ -128,37 +146,31 @@ def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
             f"need exactly one minority vertex, classes are {c.red_count}/{c.blue_count}"
         )
     if t.degree(v) >= 2:
-        out = t.neighbors(v)[:2]
+        chosen = mask_of(t.neighbors(v)[:2])
     else:
-        u = t.neighbors(v)[0]
-        w = next(x for x in t.neighbors(u) if x != v)
-        out = tuple(sorted((v, w)))
-    certify(verify_rb_separating(t, c, out))
-    return out
+        others = t.adj[t.neighbors(v)[0]] & ~(1 << v)
+        chosen = 1 << v | others & -others
+    return _certified(t, chosen, c, 2)
 
 
-def _shift_away_from_single_leaves(
-    t: Graph, profile: TreeProfile, chosen: set[int], base: set[int]
-) -> set[int]:
+def _shift_away_from_single_leaves(t: Graph, profile: TreeProfile, chosen: int, base: int) -> int:
     # For each single-leaf support u that the pre-shift parity set selected,
     # move its leaf's slot to u's lowest-index internal neighbor.
     # Eligibility is judged on the original parity membership so one shift
     # cannot cascade into another. Both callers start ``chosen`` from a base
     # holding every leaf and drop only S_+ leaves, so each S_1 leaf is in it.
-    out = set(chosen)
     for u in profile.s_class(1):
-        if u in base:
-            out.discard(profile.leaves_of[u][0])
-            out.add(next(x for x in t.neighbors(u) if t.degree(x) > 1))
-    return out
+        if base >> u & 1:
+            inner = next(x for x in t.neighbors(u) if t.degree(x) > 1)
+            chosen = chosen & ~(1 << profile.leaves_of[u][0]) | 1 << inner
+    return chosen
 
 
-def _parity_bases(t: Graph, profile: TreeProfile, x: int) -> tuple[set[int], set[int]]:
+def _parity_bases(t: Graph, leaves: int, x: int) -> tuple[int, int]:
     # The pre-shift parity sets: the odd, then the even, BFS layers of x
     # plus every leaf.
     reached, odd = bfs_parity(t, x)
-    leaves = set(profile.leaves)
-    return set(bits_of(odd)) | leaves, set(bits_of(reached & ~odd)) | leaves
+    return odd | leaves, reached & ~odd | leaves
 
 
 def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -174,14 +186,8 @@ def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise NotATree("parity sets need a tree on at least 5 vertices")
     if t.degree(x) <= 1:
         raise XIsLeaf(f"vertex {x} is a leaf")
-    c1_base, c2_base = _parity_bases(t, profile, x)
-    c1 = _shift_away_from_single_leaves(t, profile, c1_base, c1_base)
-    c2 = _shift_away_from_single_leaves(t, profile, c2_base, c2_base)
-    out1 = tuple(sorted(c1))
-    out2 = tuple(sorted(c2))
-    certify(verify_separating(t, out1))
-    certify(verify_separating(t, out2))
-    return out1, out2
+    return tuple(_certified(t, _shift_away_from_single_leaves(t, profile, base, base))
+                 for base in _parity_bases(t, mask_of(profile.leaves), x))
 
 
 def ns3_vertices(t: Graph, profile: TreeProfile) -> tuple[int, ...]:
@@ -192,32 +198,27 @@ def ns3_vertices(t: Graph, profile: TreeProfile) -> tuple[int, ...]:
     already present). Greedy keeps at most one vertex per such support,
     which is all the (n + s)/2 size accounting needs.
     """
-    s_plus = set(profile.s_plus)
-    out: set[int] = set()
+    s_plus = mask_of(profile.s_plus)
+    leaves = mask_of(profile.leaves)
+    out = 0
     for u in profile.s_class(3):
-        if any(nb in s_plus for nb in t.neighbors(u)):
-            continue
-        internal = [nb for nb in t.neighbors(u) if t.degree(nb) > 1]
-        if not any(nb in out for nb in internal):
-            out.add(internal[0])
-    return tuple(sorted(out))
+        internal = t.adj[u] & ~leaves
+        if not t.adj[u] & s_plus and not internal & out:
+            out |= internal & -internal
+    return bits_of(out)
 
 
-def _star_rb_set(t: Graph, c: Coloring, profile: TreeProfile) -> tuple[int, ...]:
-    # Stars: the smaller color class among the leaves, topped up to two
-    # leaves. Ties between equal classes keep the red leaves.
-    leaves = list(profile.leaves)
-    red_leaves = [v for v in leaves if c.is_red(v)]
-    blue_leaves = [v for v in leaves if not c.is_red(v)]
-    minority = blue_leaves if len(blue_leaves) < len(red_leaves) else red_leaves
-    chosen = set(minority)
-    for v in leaves:
-        if len(chosen) >= 2:
-            break
-        chosen.add(v)
-    out = tuple(sorted(chosen))
-    certify(verify_rb_separating(t, c, out))
-    return out
+def _star_rb_set(c: Coloring, leaves: int) -> int:
+    # Stars: the smaller color class among the leaves, topped up with the
+    # lowest other leaves to two. Ties between equal classes keep the red
+    # leaves.
+    red = leaves & c.red_mask
+    blue = leaves & ~c.red_mask
+    chosen = blue if blue.bit_count() < red.bit_count() else red
+    while chosen.bit_count() < 2:
+        rest = leaves & ~chosen
+        chosen |= rest & -rest
+    return chosen
 
 
 def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
@@ -235,65 +236,46 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
     if t.n < 5:
         raise NotATree("construction needs a tree on at least 5 vertices")
     require_coloring(t, c)
-    leaf_set = set(profile.leaves)
+    leaves = mask_of(profile.leaves)
+    most = (t.n + profile.support_count) // 2
     if profile.leaf_count == t.n - 1:
-        return _star_rb_set(t, c, profile)
+        return _certified(t, _star_rb_set(c, leaves), c, most)
 
-    x = next(v for v in range(t.n) if v not in leaf_set)
-    c1_prime, c2_prime = _parity_bases(t, profile, x)
-    ns3 = set(ns3_vertices(t, profile))
-    s_plus = set(profile.s_plus)
-    outside = [
-        v for v in range(t.n) if v not in leaf_set and v not in s_plus and v not in ns3
-    ]
-    cost1 = sum(1 for v in outside if v in c1_prime)
-    cost2 = sum(1 for v in outside if v in c2_prime)
-    base = c1_prime if cost1 <= cost2 else c2_prime
-    chosen = set(base)
+    x = next(v for v in range(t.n) if not leaves >> v & 1)
+    c1_prime, c2_prime = _parity_bases(t, leaves, x)
+    ns3 = mask_of(ns3_vertices(t, profile))
+    outside = (1 << t.n) - 1 & ~(leaves | mask_of(profile.s_plus) | ns3)
+    base = c1_prime if (c1_prime & outside).bit_count() <= (c2_prime & outside).bit_count() else c2_prime
+    chosen = base
 
-    for u in sorted(s_plus):
+    for u in profile.s_plus:
         adj_leaves = profile.leaves_of[u]
-        red = [v for v in adj_leaves if c.is_red(v)]
-        blue = [v for v in adj_leaves if not c.is_red(v)]
-        majority = red if len(red) > len(blue) else blue  # a tie drops the blue leaves
-        for v in majority:
-            chosen.discard(v)
-        chosen.add(u)
+        own = mask_of(adj_leaves)
+        red = own & c.red_mask
+        blue = own & ~c.red_mask
+        majority = red if red.bit_count() > blue.bit_count() else blue  # a tie drops the blue leaves
+        chosen = chosen & ~majority | 1 << u
 
         k = len(adj_leaves)
-        if k >= 4:
-            present = sum(1 for v in t.neighbors(u) if v in chosen)
-            for v in adj_leaves:
-                if present >= 2:
-                    break
-                if v not in chosen:
-                    chosen.add(v)
-                    present += 1
+        if k >= 4:  # top u's chosen neighbors up to two with its lowest leaves
+            while (t.adj[u] & chosen).bit_count() < 2:
+                rest = own & ~chosen
+                chosen |= rest & -rest
         elif k == 3:
-            ns3_here = [v for v in t.neighbors(u) if v in ns3]
-            if ns3_here and not any(v in chosen for v in ns3_here):
-                chosen.add(ns3_here[0])
-            if len(red) == 0 or len(blue) == 0:
-                chosen.add(adj_leaves[0])
-        else:  # k == 2
-            w1, w2 = adj_leaves
-            same_color = c.is_red(w1) == c.is_red(w2)
-            if same_color and u not in base:
-                chosen.add(w1)
-            elif same_color:
-                internal = next(v for v in t.neighbors(u) if v not in leaf_set)
-                chosen.add(internal)
-            else:
-                keep = w1 if c.is_red(w1) == c.is_red(u) else w2
-                drop = w2 if keep == w1 else w1
-                chosen.discard(drop)
-                chosen.add(keep)
+            here = t.adj[u] & ns3
+            if not here & chosen:
+                chosen |= here & -here
+            if not red or not blue:
+                chosen |= 1 << adj_leaves[0]
+        elif red and blue:  # k == 2: keep the leaf colored as u
+            chosen = chosen & ~own | (red if c.is_red(u) else blue)
+        elif not base >> u & 1:  # same color, u outside the base
+            chosen |= 1 << adj_leaves[0]
+        else:  # same color, u in the base: its lowest internal neighbor
+            internal = t.adj[u] & ~leaves
+            chosen |= internal & -internal
 
-    chosen = _shift_away_from_single_leaves(t, profile, chosen, base)
-    out = tuple(sorted(chosen))
-    certify(verify_rb_separating(t, c, out))
-    certify(None if 2 * len(out) <= t.n + profile.support_count else "2|S| > n + s")
-    return out
+    return _certified(t, _shift_away_from_single_leaves(t, profile, chosen, base), c, most)
 
 
 def tree_all_pairs_construct(t: Graph) -> tuple[int, ...]:
@@ -305,8 +287,7 @@ def tree_all_pairs_construct(t: Graph) -> tuple[int, ...]:
     profile = tree_profile(t)
     if t.n < 5:
         raise NotATree("construction needs a tree on at least 5 vertices")
-    removed = {profile.leaves_of[u][0] for u in profile.supports}
-    out = tuple(v for v in range(t.n) if v not in removed)
+    removed = mask_of(profile.leaves_of[u][0] for u in profile.supports)
+    out = _certified(t, (1 << t.n) - 1 & ~removed)
     certify(None if len(out) == t.n - profile.support_count else "|S| != n - s")
-    certify(verify_separating(t, out))
     return out
