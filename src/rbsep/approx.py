@@ -16,9 +16,9 @@ color class) on triangle-free and bounded-degree graphs, which
 ``xp_exact_small_class`` takes as the budget of the exact kernel
 (``sep_rb_exact``). The constructions build their sets as vertex bitmasks,
 and the greedy routes pack theirs into one. Every route leaves through
-``_report``, which takes that mask, certifies its sorted vertices with
-``claim_violation`` (a construction's size against its guarantee too), as
-``rbsep verify --report`` does.
+``_report``, which certifies that mask with ``graphs.certified`` under its
+key's claim in ``CLAIMS``, the one table of result keys (a construction's
+size against its guarantee too), as ``rbsep verify --report`` does.
 """
 
 from __future__ import annotations
@@ -27,18 +27,18 @@ import math
 from typing import NamedTuple
 
 from .errors import CertificationError, Infeasible, NotTriangleFree, Uncoverable
-from .exact import SolveReport, rb_difference_masks, sep_rb_exact
+from .bounds import BoundsReport
+from .exact import MaxSepReport, SolveReport, rb_difference_masks, sep_rb_exact
 from .graphs import (
     Coloring,
     Graph,
     bits_of,
-    certify,
+    certified,
     is_triangle_free,
     mask_of,
     require_coloring,
     require_rb_separable,
     require_twin_free,
-    violation,
 )
 from .hitting import columns, greedy_hitting_set
 
@@ -53,7 +53,7 @@ __all__ = [
     "bounded_degree_construct",
     "xp_exact_small_class",
     "set_system_to_text",
-    "claim_violation",
+    "CLAIMS",
     "guarantee",
     "optimum_lower_bound",
 ]
@@ -79,7 +79,7 @@ class SetSystem(NamedTuple("SetSystem", [("universe_size", int), ("element_label
 
 
 class ApproxReport(NamedTuple):
-    """Sorted solution, certified by ``claim_violation``, with its guarantee.
+    """Sorted solution, certified under its key's ``CLAIMS`` entry, with its guarantee.
 
     ``guarantee`` is the greedy routes' approximation factor and the size
     bound a construction's solution fits. ``optimum_lower_bound`` is what the
@@ -198,26 +198,25 @@ def optimum_lower_bound(method: str, g: Graph, c: Coloring | None, size: int) ->
     return _cover_bound(pairs, most, size)
 
 
-# The ``graphs.violation`` kind of each result key whose record holds a set.
-CLAIM_KINDS = {**dict.fromkeys(("exact", "xp", "greedy", "triangle-free", "bounded-degree"), "rb"),
-               "maxsep-approx": "all-pairs"}
-
-
-def claim_violation(key: str, g: Graph, c: Coloring | None, s) -> object:
-    """The violation of result ``key``'s claim that s is its kind of set, and
-    for a construction that |s| fits its ``guarantee``; None if s holds."""
-    found = violation(g, CLAIM_KINDS[key], s, c)
-    if found is None and key in ("triangle-free", "bounded-degree") and len(s) > guarantee(key, g, c):
-        return f"{len(s)} vertices exceed the guarantee"
-    return found
+# Each result key: its record's fields, the field holding its set, the set's
+# ``graphs.violation`` kind (None: no set), and whether ``guarantee`` bounds its size.
+CLAIMS = {
+    **dict.fromkeys(("exact", "xp"), (SolveReport._fields, "witness", "rb", False)),
+    "greedy": (ApproxReport._fields, "solution", "rb", False),
+    **dict.fromkeys(("triangle-free", "bounded-degree"), (ApproxReport._fields, "solution", "rb", True)),
+    "maxsep-approx": (ApproxReport._fields + ("lower_bound",), "solution", "all-pairs", False),
+    "maxsep-exact": (MaxSepReport._fields, None, None, False),
+    "bounds": (BoundsReport._fields, None, None, False),
+}
 
 
 def _report(method: str, g: Graph, c: Coloring | None, chosen: int) -> ApproxReport:
-    # The one exit of the polynomial routes: the chosen vertex mask as a
-    # sorted tuple, certified against ``method``'s claim, then reported.
-    solution = bits_of(chosen)
-    certify(claim_violation(method, g, c, solution))
-    return ApproxReport(solution, guarantee(method, g, c), optimum_lower_bound(method, g, c, len(solution)))
+    # The one exit of the polynomial routes: the chosen vertex mask,
+    # certified under ``method``'s claim, then reported.
+    _, _, kind, bounded = CLAIMS[method]
+    promise = guarantee(method, g, c)
+    solution = certified(g, kind, chosen, c, promise if bounded else None)
+    return ApproxReport(solution, promise, optimum_lower_bound(method, g, c, len(solution)))
 
 
 def _greedy(g: Graph, universe: int) -> int:

@@ -8,7 +8,7 @@ Every problem is phrased as a hitting-set instance over difference masks:
 Minimization runs through the shared branch and bound, which searches down
 from the greedy's set and also answers the decision form ("is the optimum
 <= k?") without solving past the budget. Every exact optimum leaves through one exit,
-``_solve_masks``, which certifies its witness against a verifier.
+``_solve_masks``, which certifies its witness with ``graphs.certified``.
 
 Before any search, ``rb_difference_masks`` calls
 ``graphs.require_rb_separable``, and ``sep_exact`` and ``maxsep_exact`` call
@@ -42,25 +42,21 @@ so callers may run many instances in parallel.
 from __future__ import annotations
 
 import time
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, Infeasible, NoDistinctFamily
 from .graphs import (
     Coloring,
     Graph,
     bfs_parity,
-    bits_of,
-    certify,
+    certified,
     code_pairs,
     mask_of,
     require_rb_separable,
     require_twin_free,
-    verify_dominating,
-    verify_rb_separating,
-    verify_separating_allow_twins,
 )
 from .hitting import Instance, greedy_hitting_set, hitting_set_within, minimum_hitting_set, select
 
@@ -117,23 +113,17 @@ def all_pairs_difference_masks(g: Graph) -> list[int]:
     return [closed[u] ^ closed[v] for u in range(g.n) for v in range(u + 1, g.n)]
 
 
-def _solve_masks(
-    start: float,
-    masks: list[int],
-    verify: Callable[[tuple[int, ...]], object],
-    budget: int | None = None,
-    classes: int = 0,
-) -> SolveReport:
-    # The one exit of the exact solvers: search, certify with ``verify``,
-    # report. ``elapsed_ms`` covers the mask build since ``start`` and the
+def _solve_masks(start: float, masks: list[int], g: Graph, kind: str, c: Coloring | None = None,
+                 budget: int | None = None, classes: int = 0) -> SolveReport:
+    # The one exit of the exact solvers: search, certify as a ``kind`` set of
+    # g, report. ``elapsed_ms`` covers the mask build since ``start`` and the
     # search. Without a budget the kernel always finds a set.
     stats = [0]
     found = minimum_hitting_set(masks, budget=budget, stats=stats, classes=classes)
     if found is None:
         raise Infeasible(f"no solution within budget {budget}")
-    witness = bits_of(found)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    certify(verify(witness))
+    witness = certified(g, kind, found, c)
     return SolveReport(len(witness), witness, "branch-and-bound", stats[0], elapsed_ms)
 
 
@@ -147,7 +137,7 @@ def sep_rb_exact(g: Graph, c: Coloring, budget: int | None = None) -> SolveRepor
     """
     start = time.perf_counter()
     masks = rb_difference_masks(g, c)
-    return _solve_masks(start, masks, partial(verify_rb_separating, g, c), budget)
+    return _solve_masks(start, masks, g, "rb", c, budget)
 
 
 def sep_exact(g: Graph) -> SolveReport:
@@ -170,14 +160,13 @@ def sep_exact_allow_twins(g: Graph) -> SolveReport:
     """
     start = time.perf_counter()
     masks = [d for d in all_pairs_difference_masks(g) if d]
-    verify = partial(verify_separating_allow_twins, g)
-    return _solve_masks(start, masks, verify, classes=len(set(g.closed)))
+    return _solve_masks(start, masks, g, "all-pairs-allow-twins", classes=len(set(g.closed)))
 
 
 def gamma_exact(g: Graph) -> SolveReport:
     """Minimum dominating set (closed neighborhoods as the hitting instance)."""
     start = time.perf_counter()
-    return _solve_masks(start, list(g.closed), partial(verify_dominating, g))
+    return _solve_masks(start, list(g.closed), g, "dominating")
 
 
 def _gray_blocks(n: int, b: int) -> Iterator[list[int]]:

@@ -6,9 +6,9 @@ order (multi-word beyond 64 vertices comes for free with int arithmetic).
 All public functions accept vertex sets as arbitrary iterables of indices and
 return them as ascending tuples, the canonical serialization order.
 
-Every solver and construction in the package is certified against the
-verifiers here: a witness is only ever reported after it passes
-``verify_rb_separating`` / ``verify_separating`` / ``verify_dominating``.
+Every solver and construction in the package leaves through one exit here,
+``certified``: a witness is only ever reported after it passes the verifier
+of its claim's kind and, when its construction promises one, its size bound.
 
 The three input checks of the paper's problems live here and nowhere else:
 ``require_twin_free`` (all-pairs separation and the worst-coloring sweep are
@@ -18,7 +18,7 @@ ValueError when the coloring's size is not the graph's order; and
 ``require_rb_separable`` (a red-blue separating set exists iff no red and
 blue vertex are twins) raises Unseparable on the lexicographically smallest
 red-blue twin pair. ``violation`` is the one table from a claim's kind
-(``rb``, ``all-pairs``, ``dominating``) to its verifier.
+(``rb``, ``all-pairs``, its ``-allow-twins`` form, ``dominating``) to its verifier.
 
 One pass, ``code_pairs``, pairs each vertex with the first vertex of its code
 class. It answers both all-pairs verifiers, every twin check (under V a code
@@ -54,7 +54,7 @@ __all__ = [
     "verify_separating_allow_twins",
     "verify_dominating",
     "violation",
-    "certify",
+    "certified",
     "graph_profile",
 ]
 
@@ -343,22 +343,33 @@ def verify_dominating(g: Graph, d: Iterable[int]) -> int | None:
 def violation(g: Graph, kind: str, s: Iterable[int], c: Coloring | None = None) -> object:
     """The verifier's violation of the claim that s is a ``kind`` set of g.
 
-    Kinds: ``rb`` (under the coloring c), ``all-pairs``, ``dominating``. An
-    unknown kind or an rb claim without c returns a reason string instead.
+    Kinds: ``rb`` (under the coloring c), ``all-pairs``, ``all-pairs-allow-twins``,
+    ``dominating``. An unknown kind or an rb claim without c returns a reason string.
     """
     if kind == "rb":
         return "no coloring to check against" if c is None else verify_rb_separating(g, c, s)
     if kind == "all-pairs":
         return verify_separating(g, s)
+    if kind == "all-pairs-allow-twins":
+        return verify_separating_allow_twins(g, s)
     if kind == "dominating":
         return verify_dominating(g, s)
     return f"unknown claim kind {kind!r}"
 
 
-def certify(violation: object) -> None:
-    """Raise CertificationError unless a verifier (or size check) returned None."""
-    if violation is not None:
-        raise CertificationError(f"certification failed: {violation}")
+def certified(g: Graph, kind: str, mask: int, c: Coloring | None = None,
+              most: float | None = None) -> tuple[int, ...]:
+    """The vertices of ``mask`` as a sorted tuple, once they are a ``kind`` set of g
+    (under c) of at most ``most`` vertices: the one exit of every solver and
+    construction, rerun by ``rbsep verify --report``. Raises CertificationError,
+    never asserts, so it holds under ``python -O``."""
+    out = bits_of(mask)
+    found = violation(g, kind, out, c)
+    if found is None and most is not None and len(out) > most:
+        found = f"{len(out)} vertices exceed the promised {most}"
+    if found is not None:
+        raise CertificationError(f"certification failed: {found}")
+    return out
 
 
 class GraphProfile(NamedTuple):

@@ -4,14 +4,14 @@ A run report (``rbsep-report/2``) carries the command echo, the absolute path
 and sha256 digest of each input, and one record per result key: the result's
 ``NamedTuple`` fields by name (``record``), with ``lower_bound`` added under
 maxsep-approx and ``checks`` nested under ``bounds``. The key alone decides the
-claim: ``SET_CLAIMS`` maps each key whose record holds a set to the set's
-field, and ``maxsep-exact`` and ``bounds`` are the only other keys.
-``reverify_run_report`` reads each input once and checks every key's claim
-again, failing it when its evidence is missing: each set with the solvers' own
-``approx.claim_violation``, and its record's sizes, ``guarantee`` and
-``optimum_lower_bound`` against its size, ``approx`` and
-``bounds.maxsep_lower_bound``; that a worst coloring is an R/B string of the
-graph's order whose exact optimum is the claimed ``value``, and that
+claim, and its one entry in ``approx.CLAIMS`` the record's fields (any other
+is rejected on load). ``reverify_run_report`` reads each input once and checks
+every key's claim again, failing it when its evidence is missing: each set
+through the solvers' own exit, ``graphs.certified``, and its record's sizes,
+``guarantee`` and ``optimum_lower_bound`` against its size, ``approx`` and
+``bounds.maxsep_lower_bound``; that the kernel finds no set within an exact
+``optimum`` - 1; that a worst coloring is an R/B string of the graph's order
+whose exact optimum is the claimed ``value``, and that
 ``per_coloring_count`` is 2^(n-1); that a ``bounds`` record's n, max_degree and
 support_count are the graph's, and its checks what the ``bounds`` inequalities
 give on them and its sep, maxsep and gamma.
@@ -25,11 +25,11 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Any
 
-from .approx import CLAIM_KINDS, claim_violation, guarantee, optimum_lower_bound
+from .approx import CLAIMS, guarantee, optimum_lower_bound
 from .bounds import BoundsReport, bound_checks, maxsep_lower_bound, tree_support_count
-from .errors import RBSepError
+from .errors import CertificationError, Infeasible, RBSepError
 from .exact import sep_rb_exact
-from .graphs import BLUE, RED, Coloring
+from .graphs import BLUE, RED, Coloring, certified, mask_of
 from .io import coloring_from_text, graph_from_text
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
 ]
 
 FORMAT = "rbsep-report/2"
-
-# The keys whose record holds a set, and the field holding it.
-SET_CLAIMS = {key: "witness" if key in ("exact", "xp") else "solution" for key in CLAIM_KINDS}
 
 
 def file_digest(path: str | Path) -> str:
@@ -84,7 +81,7 @@ def write_run_report(path: str | Path, command: list[str], inputs: dict[str, str
 def load_run_report(path: str | Path) -> dict[str, Any]:
     """Read a report and check the structure ``reverify_run_report`` reads.
 
-    Raises ValueError naming the first missing or mistyped field, or an unknown key.
+    Raises ValueError naming the first missing, mistyped or unknown field or key.
     """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
@@ -121,8 +118,10 @@ def load_run_report(path: str | Path) -> dict[str, Any]:
                 raise ValueError(f"report result {name!r} field {key!r} must be an integer or null")
         if type(record.get("guarantee", 0)) not in (int, float):
             raise ValueError(f"report result {name!r} field 'guarantee' must be a number")
-        if name not in SET_CLAIMS and name not in ("maxsep-exact", "bounds"):
+        if name not in CLAIMS:
             raise ValueError(f"unknown report result {name!r}")
+        if unknown := sorted(set(record) - set(CLAIMS[name][0])):
+            raise ValueError(f"report result {name!r} has unknown field {unknown[0]!r}")
     return data
 
 
@@ -167,21 +166,41 @@ def reverify_run_report(data: dict[str, Any]) -> list[tuple[str, bool]]:
             size = len(record.get("solution", []))
             want = optimum_lower_bound(key, graph, coloring, size) if graph is not None else None
             outcomes.append((f"lower:{key}", want is not None and record["optimum_lower_bound"] == want))
-        if key not in SET_CLAIMS:
+        fields, field, kind, bounded = CLAIMS[key]
+        if field is None:
             continue
-        witness = record.get(SET_CLAIMS[key])
-        # An optimum is the set's size; a lower bound is at most it, and a
-        # maxsep lower bound at most the proven one.
-        ok = (
-            graph is not None and witness is not None
-            and all(0 <= v < graph.n for v in witness)
-            and claim_violation(key, graph, coloring, witness) is None
-            and record.get("optimum", len(witness)) == len(witness)
-            and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= len(witness)
-            and record.get("lower_bound", 0) <= maxsep_lower_bound(graph.n)
-        )
+        witness = record.get(field)
+        # The set passes the solvers' exit; an optimum is its size, a lower
+        # bound is at most it, and a maxsep lower bound at most the proven one.
+        try:
+            ok = (
+                graph is not None and witness is not None
+                and all(0 <= v < graph.n for v in witness)
+                and certified(graph, kind, mask_of(witness), coloring,
+                              guarantee(key, graph, coloring) if bounded else None) is not None
+                and record.get("optimum", len(witness)) == len(witness)
+                and max(record.get("optimum_lower_bound", 0), record.get("lower_bound", 0)) <= len(witness)
+                and record.get("lower_bound", 0) <= maxsep_lower_bound(graph.n)
+            )
+        except CertificationError:
+            ok = False
         outcomes.append((f"witness:{key}", ok))
+        if "optimum" in fields:
+            outcomes.append((f"optimum:{key}", _none_smaller(graph, coloring, record.get("optimum"))))
     return outcomes
+
+
+def _none_smaller(graph, coloring, optimum) -> bool:
+    # An optimum's lower side: the kernel finds no set within optimum - 1.
+    if None in (graph, coloring, optimum) or optimum <= 0:
+        return optimum == 0
+    try:
+        sep_rb_exact(graph, coloring, budget=optimum - 1)
+    except Infeasible:
+        return True
+    except RBSepError:  # Unseparable, or a search too deep to finish
+        pass
+    return False
 
 
 def _recheck_bounds(graph, claimed: dict) -> list[tuple[str, bool]]:

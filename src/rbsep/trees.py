@@ -22,11 +22,9 @@ The constructions implemented here:
 Together the last two give maxsep_RB(T) <= min(n - s, (n + s)/2) <= 2n/3.
 The prose around the (n + s)/2 construction is ambiguous in places; the
 implementation follows the construction steps. Every set is built as a
-vertex bitmask and leaves through one exit, ``_certified``, which checks it
-with the verifier of its claim and against the size its construction
-promises (at most 2, at most (n + s)/2, the star path included) before
-returning it as a sorted tuple; ``tree_all_pairs_construct`` also checks
-its size is exactly n - s.
+vertex bitmask and leaves through ``graphs.certified``, which checks its claim
+and the size its construction promises (at most 2, (n + s)/2 with the star
+path included, and n - s) before returning it as a sorted tuple.
 """
 
 from __future__ import annotations
@@ -39,12 +37,10 @@ from .graphs import (
     Graph,
     bfs_parity,
     bits_of,
-    certify,
+    certified,
     is_tree,
     mask_of,
     require_coloring,
-    verify_rb_separating,
-    verify_separating,
 )
 
 __all__ = [
@@ -111,19 +107,6 @@ def tree_profile(t: Graph) -> TreeProfile:
     return TreeProfile(t.n, leaves, tuple(sorted(leaves_of)), leaves_of)
 
 
-def _certified(
-    t: Graph, mask: int, c: Coloring | None = None, most: int | None = None
-) -> tuple[int, ...]:
-    # The one exit of the constructions: the set as a sorted tuple, certified
-    # red-blue separating under c (all-pairs separating without c) and, when
-    # the construction promises a size, of at most ``most`` vertices.
-    out = bits_of(mask)
-    certify(verify_separating(t, out) if c is None else verify_rb_separating(t, c, out))
-    too_many = most is not None and len(out) > most
-    certify(f"{len(out)} vertices exceed the promised {most}" if too_many else None)
-    return out
-
-
 def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
     """Set of size <= 2 separating a single minority vertex from the rest.
 
@@ -150,7 +133,7 @@ def single_red_sep(t: Graph, c: Coloring) -> tuple[int, ...]:
     else:
         others = t.adj[t.neighbors(v)[0]] & ~(1 << v)
         chosen = 1 << v | others & -others
-    return _certified(t, chosen, c, 2)
+    return certified(t, "rb", chosen, c, 2)
 
 
 def _shift_away_from_single_leaves(t: Graph, profile: TreeProfile, chosen: int, base: int) -> int:
@@ -186,7 +169,7 @@ def parity_sets(t: Graph, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise NotATree("parity sets need a tree on at least 5 vertices")
     if t.degree(x) <= 1:
         raise XIsLeaf(f"vertex {x} is a leaf")
-    return tuple(_certified(t, _shift_away_from_single_leaves(t, profile, base, base))
+    return tuple(certified(t, "all-pairs", _shift_away_from_single_leaves(t, profile, base, base))
                  for base in _parity_bases(t, mask_of(profile.leaves), x))
 
 
@@ -239,7 +222,7 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
     leaves = mask_of(profile.leaves)
     most = (t.n + profile.support_count) // 2
     if profile.leaf_count == t.n - 1:
-        return _certified(t, _star_rb_set(c, leaves), c, most)
+        return certified(t, "rb", _star_rb_set(c, leaves), c, most)
 
     x = next(v for v in range(t.n) if not leaves >> v & 1)
     c1_prime, c2_prime = _parity_bases(t, leaves, x)
@@ -275,7 +258,7 @@ def tree_rb_construct(t: Graph, c: Coloring) -> tuple[int, ...]:
             internal = t.adj[u] & ~leaves
             chosen |= internal & -internal
 
-    return _certified(t, _shift_away_from_single_leaves(t, profile, chosen, base), c, most)
+    return certified(t, "rb", _shift_away_from_single_leaves(t, profile, chosen, base), c, most)
 
 
 def tree_all_pairs_construct(t: Graph) -> tuple[int, ...]:
@@ -288,6 +271,4 @@ def tree_all_pairs_construct(t: Graph) -> tuple[int, ...]:
     if t.n < 5:
         raise NotATree("construction needs a tree on at least 5 vertices")
     removed = mask_of(profile.leaves_of[u][0] for u in profile.supports)
-    out = _certified(t, (1 << t.n) - 1 & ~removed)
-    certify(None if len(out) == t.n - profile.support_count else "|S| != n - s")
-    return out
+    return certified(t, "all-pairs", (1 << t.n) - 1 & ~removed, most=t.n - profile.support_count)

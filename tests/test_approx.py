@@ -19,10 +19,11 @@ import rbsep.exact
 import rbsep.graphs
 from rbsep.bounds import check_bounds
 from rbsep.approx import (
+    CLAIMS,
     SetSystem,
     bounded_degree_construct,
-    claim_violation,
     greedy_set_cover,
+    guarantee,
     reduce_rb_to_set_cover,
     sep_all_pairs_greedy,
     sep_rb_greedy,
@@ -49,9 +50,12 @@ from rbsep.generators import (
 from rbsep.graphs import (
     Coloring,
     Graph,
+    certified,
     graph_profile,
+    mask_of,
     verify_rb_separating,
     verify_separating,
+    violation,
 )
 from rbsep.hitting import greedy_hitting_set
 from test_graphs import graph_and_coloring
@@ -446,6 +450,17 @@ def test_xp_witness_is_certified(monkeypatch):
         xp_exact_small_class(path_graph(6), Coloring.from_string("RBBBBB"))
 
 
+def claim_violation(key, g, c, s):
+    # The error ``graphs.certified`` raises on s under result key's claim,
+    # as the routes and the recheck make it; None when s holds.
+    _, _, kind, bounded = CLAIMS[key]
+    try:
+        certified(g, kind, mask_of(s), c, guarantee(key, g, c) if bounded else None)
+    except CertificationError as exc:
+        return exc
+    return None
+
+
 # Each route with its result key and whether it reads the coloring.
 ROUTES = (
     (sep_rb_greedy, "greedy", True),
@@ -500,21 +515,26 @@ def test_claim_violation_fails_a_valid_set_above_the_guarantee(key):
 def test_claim_violation_fails_a_set_that_does_not_separate(key, s, pair):
     # On P5 with vertex 2 red, {0} leaves red 2 and blue 3 the same empty
     # code; under {1, 3} vertices 0 and 1 share the code {1}.
-    assert claim_violation(key, path_graph(5), Coloring.from_red(5, [2]), s) == pair
+    g, c = path_graph(5), Coloring.from_red(5, [2])
+    assert violation(g, CLAIMS[key][2], s, c) == pair
+    assert str(claim_violation(key, g, c, s)) == f"certification failed: {pair}"
 
 
 @pytest.mark.parametrize("route, key, colored", ROUTES, ids=[key for _, key, _ in ROUTES])
 def test_each_route_certifies_through_claim_violation(monkeypatch, route, key, colored):
-    # The routes' one exit certifies with the same check the recheck uses.
+    # The routes' one exit certifies with the same check the recheck uses:
+    # ``graphs.certified`` under the key's kind, and for the constructions
+    # the guarantee as the promised size.
     seen = []
 
-    def refuse(*args):
-        seen.append(args[0])
-        return "refused"
+    def refuse(g, kind, mask, c=None, most=None):
+        seen.append((kind, most))
+        raise CertificationError("refused")
 
-    monkeypatch.setattr("rbsep.approx.claim_violation", refuse)
+    monkeypatch.setattr("rbsep.approx.certified", refuse)
     g = gen_spider(3)[0]
     c = Coloring.from_red(g.n, [0])
     with pytest.raises(CertificationError, match="refused"):
         route(g, c) if colored else route(g)
-    assert seen == [key]
+    _, _, kind, bounded = CLAIMS[key]
+    assert seen == [(kind, 3.0 if bounded else None)]  # 3 * 1 = Delta * 1 with one red vertex

@@ -1,9 +1,11 @@
-"""Every construction's output, pinned, and every construction's exit, certified.
+"""Every construction's output, pinned, and every solver's exit, certified.
 
 The pin is one md5 over a seeded grid of trees and twin-free random graphs:
 each call's result, or the name of the error it raises, in a fixed order.
 A change to the constructions' bookkeeping must keep the digest; a change
-that moves an output on purpose says so and pins the new digest.
+that moves an output on purpose says so and pins the new digest. Every exact
+solver, polynomial route and construction leaves through ``graphs.certified``
+under its claim's kind.
 """
 
 import hashlib
@@ -12,10 +14,16 @@ import random
 import pytest
 
 import rbsep.graphs
-import rbsep.trees
 from conftest import path_graph, star_graph
-from rbsep.approx import bounded_degree_construct, triangle_free_construct
+from rbsep.approx import (
+    bounded_degree_construct,
+    sep_all_pairs_greedy,
+    sep_rb_greedy,
+    triangle_free_construct,
+    xp_exact_small_class,
+)
 from rbsep.errors import CertificationError
+from rbsep.exact import gamma_exact, sep_exact, sep_exact_allow_twins, sep_rb_exact
 from rbsep.generators import gen_random_tree, gen_random_twin_free
 from rbsep.graphs import Coloring
 from rbsep.trees import (
@@ -85,11 +93,41 @@ EXITS = {
 @pytest.mark.parametrize("name", EXITS)
 def test_every_exit_certifies(monkeypatch, name):
     EXITS[name]()  # a valid call, so the error below is the verifier's
-    for module in (rbsep.graphs, rbsep.trees):
-        for verifier in ("verify_rb_separating", "verify_separating"):
-            monkeypatch.setattr(module, verifier, lambda *args: (0, 1))
+    for verifier in ("verify_rb_separating", "verify_separating"):
+        monkeypatch.setattr(rbsep.graphs, verifier, lambda *args: (0, 1))
     with pytest.raises(CertificationError):
         EXITS[name]()
+
+
+# One call through each exit of the package, with the claim kind it
+# certifies under; xp's construction certifies before its search.
+KINDS = {
+    "sep_rb_exact": (lambda: sep_rb_exact(path_graph(4), Coloring.from_string("RBRB")), "rb"),
+    "sep_exact": (lambda: sep_exact(path_graph(4)), "all-pairs-allow-twins"),
+    "sep_exact_allow_twins": (lambda: sep_exact_allow_twins(path_graph(4)), "all-pairs-allow-twins"),
+    "gamma_exact": (lambda: gamma_exact(path_graph(4)), "dominating"),
+    "xp": (lambda: xp_exact_small_class(path_graph(6), Coloring.from_red(6, [2])), "rb"),
+    "greedy": (lambda: sep_rb_greedy(path_graph(6), Coloring.from_red(6, [2])), "rb"),
+    "maxsep-approx": (lambda: sep_all_pairs_greedy(path_graph(6)), "all-pairs"),
+    **{name: (call, "all-pairs" if name in ("parity_sets", "tree_all_pairs_construct") else "rb")
+       for name, call in EXITS.items()},
+}
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_every_exit_certifies_under_its_claim_kind(monkeypatch, name):
+    call, kind = KINDS[name]
+    call()  # a valid call, so the error below is the refusal
+    seen = []
+
+    def refuse(g, kind, s, c=None):
+        seen.append(kind)
+        return "refused"
+
+    monkeypatch.setattr(rbsep.graphs, "violation", refuse)
+    with pytest.raises(CertificationError, match="refused"):
+        call()
+    assert seen == [kind]
 
 
 def test_star_path_checks_its_size_promise(monkeypatch):

@@ -129,7 +129,7 @@ def test_sep_allow_twins_complete_multipartite():
     ],
     ids=["sep_rb_exact", "sep_exact", "sep_exact_allow_twins", "gamma_exact"],
 )
-def test_sep_allow_twins_witness_is_certified(monkeypatch, solve):
+def test_every_exact_solver_certifies_its_witness(monkeypatch, solve):
     # Every exact solver leaves through the one certifying exit.
     monkeypatch.setattr(
         rbsep.exact, "minimum_hitting_set", lambda masks, budget=None, stats=None, classes=0: 0

@@ -13,11 +13,12 @@ from conftest import (
     path_graph,
     star_graph,
 )
-from rbsep.errors import NotTwinFree, Unseparable
+from rbsep.errors import CertificationError, NotTwinFree, Unseparable
 from rbsep.generators import gen_random_twin_free
 from rbsep.graphs import (
     Coloring,
     Graph,
+    certified,
     code_pairs,
     graph_profile,
     is_triangle_free,
@@ -219,10 +220,29 @@ def test_violation_maps_each_claim_kind_to_its_verifier():
     for s in ([], [1], [0, 3], [1, 2]):
         assert violation(p4, "rb", s, c) == verify_rb_separating(p4, c, s)
         assert violation(p4, "all-pairs", s) == verify_separating(p4, s)
+        assert violation(p4, "all-pairs-allow-twins", s) == verify_separating_allow_twins(p4, s)
         assert violation(p4, "dominating", s) == verify_dominating(p4, s)
+    # With twins the two all-pairs kinds differ: on K2 the empty set leaves
+    # only the twin pair, which allow-twins exempts.
+    k2 = Graph.from_edges(2, [(0, 1)])
+    assert violation(k2, "all-pairs", []) == (0, 1)
+    assert violation(k2, "all-pairs-allow-twins", []) is None
     # Claims that cannot be checked fail with a reason, never pass.
     assert isinstance(violation(p4, "rb", [0, 1, 2, 3]), str)
     assert isinstance(violation(p4, "none", [0, 1, 2, 3], c), str)
+
+
+def test_certified_returns_the_sorted_set_and_keeps_its_promise():
+    # P4 needs 3 of its vertices to separate all pairs; {0, 1, 2} does.
+    p4 = path_graph(4)
+    assert certified(p4, "all-pairs", 0b0111) == (0, 1, 2)
+    assert certified(p4, "all-pairs", 0b0111, most=3) == (0, 1, 2)
+    with pytest.raises(CertificationError, match="3 vertices exceed the promised 2"):
+        certified(p4, "all-pairs", 0b0111, most=2)
+    with pytest.raises(CertificationError, match=r"\(0, 1\)"):
+        certified(p4, "all-pairs", 0b0011)
+    with pytest.raises(CertificationError, match="no coloring"):
+        certified(p4, "rb", 0b0111)
 
 
 def test_coloring_round_trip():

@@ -17,6 +17,8 @@ import pytest
 
 import rbsep
 from rbsep.cli import main
+from rbsep.errors import Infeasible, SearchTooDeep
+from rbsep.exact import sep_rb_exact
 from rbsep.generators import GeneratorSpec, build_from_spec
 from rbsep.io import write_coloring, write_graph
 from rbsep.reports import FORMAT
@@ -225,13 +227,14 @@ def test_verify_bounds_report_without_a_field_or_not_an_object(tmp_path, inputs,
 
 
 # False reports made from spider:k=2 that the recheck once passed, each with
-# the failing recheck line: a claim kind named by a field beside the key, and
-# a claim kept after the evidence for it was deleted.
+# the failing recheck line: a witness of another claim kind, and a claim kept
+# after the evidence for it was deleted. A field naming a claim kind beside the
+# key is an unknown field (``test_verify_report_rejects_an_unknown_field``).
 PROBES = {
     # {0, 1, 2, 4, 6, 9} dominates the spider but leaves the pair (4, 5) unsplit.
     "dominating-witness": (
         ["solve", "--method", "exact"], "exact", "witness:exact",
-        lambda r: r.update(witness=[0, 1, 2, 4, 6, 9], verifies="dominating"),
+        lambda r: r.update(witness=[0, 1, 2, 4, 6, 9]),
     ),
     "no-witness": (
         ["solve", "--method", "exact"], "exact", "witness:exact",
@@ -243,7 +246,7 @@ PROBES = {
     ),
     "no-solution": (
         ["maxsep", "--mode", "approx"], "maxsep-approx", "witness:maxsep-approx",
-        lambda r: (r.pop("solution"), r.pop("optimum_lower_bound"), r.update(upper_bound=1)),
+        lambda r: (r.pop("solution"), r.pop("optimum_lower_bound")),
     ),
 }
 
@@ -334,6 +337,80 @@ def test_verify_report_rejects_an_unknown_key_or_format(tmp_path, inputs, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key, field", [
+    (["solve", "--method", "exact"], "exact", "proven_optimal"),
+    (["solve", "--method", "exact"], "exact", "verifies"),
+    (["solve", "--method", "greedy"], "greedy", "lower_bound"),
+    (["maxsep", "--mode", "approx"], "maxsep-approx", "upper_bound"),
+    (["maxsep", "--mode", "exact"], "maxsep-exact", "proven_optimal"),
+    (["bounds"], "bounds", "bound_checks"),
+], ids=["exact-proven-optimal", "exact-verifies", "greedy-lower-bound", "maxsep-approx-upper-bound",
+        "maxsep-exact", "bounds"])
+def test_verify_report_rejects_an_unknown_field(tmp_path, inputs, capsys, argv, key, field):
+    # A record holds its result's fields, and maxsep-approx's lower_bound,
+    # and nothing else: a field the recheck does not know is malformed input.
+    out = tmp_path / "report.json"
+    paths = ["--graph", inputs["graph"]["path"]]
+    if argv[0] == "solve":
+        paths += ["--coloring", inputs["coloring"]["path"]]
+    assert main([*argv, *paths, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["results"][key][field] = 1
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    assert f"report result {key!r} has unknown field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["exact", "xp"])
+def test_verify_report_rechecks_an_optimums_lower_side(tmp_path, capsys, method):
+    # spider:k=2 has optimum 6: the kernel finds no set within 5, so the
+    # untouched report holds. All 11 vertices separate too, so a copy
+    # claiming them with optimum 11 passes the witness line and fails the
+    # optimum line.
+    g, c = build_from_spec(GeneratorSpec.parse("spider:k=2"))
+    with pytest.raises(Infeasible):
+        sep_rb_exact(g, c, budget=5)
+    gpath, cpath, out = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "report.json"
+    write_graph(gpath, g)
+    write_coloring(cpath, c)
+    argv = ["solve", "--method", method, "--graph", str(gpath), "--coloring", str(cpath), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 0
+    assert f"recheck optimum:{method} ok\n" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    data["results"][method].update(witness=list(range(11)), optimum=11)
+    out.write_text(json.dumps(data))
+    assert main(["verify", "--report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert f"recheck witness:{method} ok\n" in printed
+    assert f"recheck optimum:{method} FAIL\n" in printed
+
+
+def test_optimum_recheck_is_trivial_at_zero_and_fails_on_other_errors(tmp_path, inputs, capsys, monkeypatch):
+    # An all-blue coloring needs no vertex: optimum 0 holds without a solve.
+    # Any error but Infeasible from the re-solve fails the line.
+    Path(inputs["coloring"]["path"]).write_text("BBBBBBB\n")
+    out = tmp_path / "report.json"
+    argv = ["solve", "--method", "exact", "--graph", inputs["graph"]["path"],
+            "--coloring", inputs["coloring"]["path"], "--out", str(out)]
+    assert main(argv) == 0
+
+    def unfinished(*args, **kwargs):
+        raise SearchTooDeep(0, 1)
+
+    monkeypatch.setattr("rbsep.reports.sep_rb_exact", unfinished)
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 0
+    assert "recheck optimum:exact ok\n" in capsys.readouterr().out
+    Path(inputs["coloring"]["path"]).write_text(COLORING)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    assert "recheck optimum:exact FAIL\n" in capsys.readouterr().out
+
+
 def test_report_written_with_relative_paths_rechecks_from_elsewhere(tmp_path, monkeypatch, capsys):
     # Inputs are recorded by absolute path, so the recheck does not depend
     # on the directory it runs in.
@@ -387,7 +464,7 @@ def test_verify_report_with_a_missing_input_exits_input(tmp_path, inputs, capsys
         (["maxsep", "--mode", "approx"], "maxsep-approx", lambda g: g / 2),
         (["solve", "--method", "triangle-free"], "triangle-free", lambda g: g + 1),
         (["solve", "--method", "bounded-degree"], "bounded-degree", lambda g: g + 1),
-        # A method that records no guarantee.
+        # A method that records no guarantee: the field is unknown (exit 2).
         (["solve", "--method", "exact"], "exact", lambda g: 1.0),
     ],
     ids=["greedy", "maxsep-approx", "triangle-free", "bounded-degree", "exact"],
@@ -408,6 +485,10 @@ def test_verify_report_rechecks_the_guarantee(tmp_path, inputs, capsys, argv, ke
     record = data["results"][key]
     record["guarantee"] = edit(record.get("guarantee"))
     out.write_text(json.dumps(data))
+    if key == "exact":
+        assert main(["verify", "--report", str(out)]) == 2
+        assert "report result 'exact' has unknown field 'guarantee'" in capsys.readouterr().err
+        return
     assert main(["verify", "--report", str(out)]) == 1
     assert f"recheck guarantee:{key} FAIL\n" in capsys.readouterr().out
 
