@@ -17,6 +17,12 @@ instances are stable across runs:
 
 Every generator is a pure function of its parameters; the random sources
 are pure functions of their seed.
+
+The extremal families, copies plus an independent set and the random
+sources build adjacency rows straight from their definitions, each row a
+union of a few vertex ranges, and ``Graph`` checks them. The spider and the
+reductions are wired edge by edge in the paper, so they keep edge lists and
+``Graph.from_edges``; a repeated set element or clause literal is one edge.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .errors import (
     TwinFreeUnreachable,
     Uncoverable,
 )
-from .graphs import Coloring, Graph, code_pairs
+from .graphs import Coloring, Graph, code_pairs, mask_of
 from .io import MAX_GRAPH_ORDER
 
 __all__ = [
@@ -103,27 +109,22 @@ def gen_power_set_graph(k: int) -> tuple[Graph, list[Coloring]]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    subset_masks = [m for m in range(1 << k) if m.bit_count() >= 2]
-    n = k + len(subset_masks) + 1
-    edges = []
-    t_base = k
-    for i, m in enumerate(subset_masks):
-        vi = t_base + i
-        for s in range(k):
-            if m >> s & 1:
-                edges.append((s, vi))
-        for j in range(i + 1, len(subset_masks)):
-            edges.append((vi, t_base + j))
-    g = Graph.from_edges(n, edges)
-    assert n == 1 << k
+    n = 1 << k
+    # A subset's vertex number is k plus its rank, and its mask names its
+    # s members by their vertex numbers.
+    subset_masks = [m for m in range(n) if m.bit_count() >= 2]
+    clique = (1 << n - 1) - (1 << k)
+    rows = [mask_of(v for v, m in enumerate(subset_masks, k) if m >> i & 1) for i in range(k)]
+    rows += [clique ^ 1 << v | m for v, m in enumerate(subset_masks, k)]
+    rows.append(0)
+    g = Graph(n, tuple(rows))
 
     if k == 1:
         coloring = Coloring.from_red(n, [0])
     elif k == 2:
         coloring = Coloring.from_red(n, [0, 1])
-    else:
-        full_vertex = t_base + subset_masks.index((1 << k) - 1)
-        coloring = Coloring(n, ((1 << n) - 1) ^ (1 << full_vertex))
+    else:  # the full subset is the last clique vertex, n - 2
+        coloring = Coloring(n, ((1 << n) - 1) ^ (1 << n - 2))
     return g, [coloring]
 
 
@@ -138,16 +139,12 @@ def gen_half_graph_complement(k: int) -> tuple[Graph, Coloring]:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = 2 * k
-    edges = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            edges.append((i - 1, j - 1))          # v-clique
-            edges.append((k + i - 1, k + j - 1))  # w-clique
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i > j:
-                edges.append((i - 1, k + j - 1))
-    g = Graph.from_edges(n, edges)
+    vs = (1 << k) - 1
+    ws = vs << k
+    # 0-based, v_a ~ w_b iff a > b.
+    rows = [vs ^ 1 << a | ((1 << a) - 1) << k for a in range(k)]
+    rows += [ws ^ 1 << k + b | (vs >> b + 1) << b + 1 for b in range(k)]
+    g = Graph(n, tuple(rows))
     reds = []
     for i in range(1, k + 1):
         if i % 2 == 0:
@@ -174,22 +171,14 @@ def gen_complete_multipartite(
     if strict and (len(parts) < 2 or any(p < 5 or p % 2 == 0 for p in parts)):
         raise InvalidParts(f"strict mode needs >= 2 parts, all odd and >= 5, got {parts}")
     n = sum(parts)
-    starts = []
-    acc = 0
+    full = (1 << n) - 1
+    rows: list[int] = []
+    reds = 0
     for p in parts:
-        starts.append(acc)
-        acc += p
-    edges = []
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for u in range(starts[a], starts[a] + parts[a]):
-                for v in range(starts[b], starts[b] + parts[b]):
-                    edges.append((u, v))
-    g = Graph.from_edges(n, edges)
-    reds = []
-    for start, p in zip(starts, parts):
-        reds.extend(range(start, start + (p + 1) // 2))
-    return g, Coloring.from_red(n, reds)
+        start = len(rows)
+        rows += [full ^ ((1 << p) - 1) << start] * p
+        reds |= ((1 << (p + 1) // 2) - 1) << start
+    return Graph(n, tuple(rows)), Coloring(n, reds)
 
 
 def gen_spider(k: int) -> tuple[Graph, Coloring]:
@@ -259,7 +248,7 @@ def gen_split_from_set_cover(
             edges.append((u, v))
         edges.append((u, apex))
     for j, s in enumerate(sets):
-        for e in s:
+        for e in dict.fromkeys(s):  # a repeated element names it once
             if not 0 <= e < universe_size:
                 raise InvalidParts(f"set {j} has out-of-range element {e}")
             edges.append((e, set_base + j))
@@ -305,7 +294,7 @@ def gen_copies_plus_independent(g: Graph, k: int) -> tuple[Graph, Coloring]:
         raise ValueError("k must be nonnegative")
     n = g.n
     total = n + k + 1
-    h = Graph.from_edges(total, g.edges())
+    h = Graph(total, g.adj + (0,) * (k + 1))
     return h, Coloring.from_red(total, range(n, total))
 
 
@@ -398,7 +387,7 @@ def gen_maxsep_gadget(sat: SatInstance) -> GadgetReduction:
 
     Variable i contributes gadgets on ports (x^a, x^b) and (x, not-x) with
     extra edges x^a~x^b, x^a~x, x^a~not-x; clause j contributes a gadget on
-    (c^a, c^b) with c^a joined to c^b and to its literal vertices. The
+    (c^a, c^b) with c^a joined to c^b and to each distinct literal vertex. The
     coloring makes every gadget's p-vertices blue and q-vertices red,
     splits each port pair of the x^a/x^b and c^a/c^b kind, and colors
     everything else blue.
@@ -428,7 +417,7 @@ def gen_maxsep_gadget(sat: SatInstance) -> GadgetReduction:
         gadgets.append(gc)
         ca, cb = gc.ports
         edges.append((ca, cb))
-        for lit in clause:
+        for lit in set(clause):  # a repeated literal is joined once
             vtx = var_pos[abs(lit) - 1] if lit > 0 else var_neg[abs(lit) - 1]
             edges.append(tuple(sorted((ca, vtx))))
         port_splits.append((ca, cb))

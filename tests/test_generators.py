@@ -128,6 +128,10 @@ def test_split_reduction_rejects_uncovered():
         gen_split_from_set_cover(2, [[0]])
 
 
+def test_split_reduction_reads_a_repeated_element_once():
+    assert gen_split_from_set_cover(2, [[0, 0, 1]]) == gen_split_from_set_cover(2, [[0, 1]])
+
+
 def test_split_reduction_random_instances():
     rng = random.Random(3)
     for _ in range(20):
@@ -184,6 +188,12 @@ def test_gadget_reduction_unit_instance():
     s = red.prescribed_separating_set([True])
     assert len(s) == red.k
     assert verify_separating(red.graph, s) is None
+
+
+def test_gadget_joins_a_repeated_literal_once():
+    once = gen_maxsep_gadget(SatInstance(1, ((1,),)))
+    twice = gen_maxsep_gadget(SatInstance(1, ((1, 1),)))
+    assert (twice.graph, twice.coloring, twice.k) == (once.graph, once.coloring, once.k)
 
 
 def test_gadget_u_vertices_are_unique_pair_separators():
@@ -361,6 +371,10 @@ def test_error_messages(raise_it, message):
             "set 0 has out-of-range element 2", id="split-out-of-range",
         ),
         pytest.param(
+            lambda: gen_split_from_set_cover(2, [[0, 0, 1, 2, 2]]), InvalidParts,
+            "set 0 has out-of-range element 2", id="split-out-of-range-repeated",
+        ),
+        pytest.param(
             lambda: GeneratorSpec.parse(":k=1"), ValueError, "missing family in spec ':k=1'",
             id="spec-no-family",
         ),
@@ -374,3 +388,69 @@ def test_generator_parameter_guards(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def _outcome(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # a refused call is pinned by its error type
+        return type(exc).__name__
+
+
+def _set_system(rng: random.Random) -> tuple[int, list[list[int]]]:
+    # Sets without repeats that cover the universe, so every call builds.
+    u = rng.randint(1, 7)
+    sets = [sorted(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 5))]
+    covered = set().union(*sets)
+    sets += [[e] for e in range(u) if e not in covered]
+    return u, sets
+
+
+def _formula(rng: random.Random) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    # Clauses of distinct literals; a literal past its cap of two is pinned
+    # as LiteralCapExceeded.
+    nv = rng.randint(1, 4)
+    literals = [lit for i in range(1, nv + 1) for lit in (i, -i)]
+    clauses = tuple(tuple(rng.sample(literals, rng.randint(1, min(3, len(literals)))))
+                    for _ in range(rng.randint(0, 4)))
+    return nv, clauses
+
+
+GENERATORS_MD5 = "5ae7fff78f0c53a96f612900b639ca61"
+
+
+def generator_outputs():
+    for k in range(1, 9):
+        yield _outcome(gen_power_set_graph, k)
+    for k in range(1, 41):
+        yield _outcome(gen_half_graph_complement, k)
+    for seed in range(30):
+        rng = random.Random(seed)
+        parts = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+        yield _outcome(gen_complete_multipartite, parts)
+        odd = [rng.choice((3, 5, 7, 9)) for _ in range(rng.randint(1, 3))]
+        yield _outcome(gen_complete_multipartite, odd, True)
+    for k in range(1, 20):
+        yield _outcome(gen_spider, k)
+    for n, seed in TREE_GRID[:18]:
+        t = gen_random_tree(n, seed)
+        for k in range(3):
+            yield _outcome(gen_copies_plus_independent, t, k)
+        pivot = next((v for v in range(n) if t.degree(v) == 2), 0)
+        yield _outcome(gen_two_copies_ds, t, pivot)
+    for seed in range(30):
+        yield _outcome(gen_split_from_set_cover, *_set_system(random.Random(seed)))
+    for seed in range(30):
+        nv, clauses = _formula(random.Random(seed))
+        yield _outcome(lambda: gen_maxsep_gadget(SatInstance(nv, clauses)))
+    for n, p, seed in TWIN_FREE_GRID[::8]:
+        yield _outcome(gen_random_twin_free, n, p, seed)
+    for n, seed in TREE_GRID[::4]:
+        yield _outcome(gen_random_tree, n, seed)
+
+
+def test_generator_outputs_are_pinned():
+    # Every family's rows, colorings and record fields, taken at the commit
+    # before the families built their rows directly.
+    digest = hashlib.md5("\n".join(generator_outputs()).encode()).hexdigest()
+    assert digest == GENERATORS_MD5
